@@ -82,12 +82,9 @@ fn bench_paths(c: &mut Criterion) {
     group.finish();
 }
 
-/// Subroutine-level `F-STP` bench: the reference per-vertex enumerator
-/// (cold BFS every level), the packed enumerator on a cold scratch
-/// (bitset BFS, within-run signature reuse), and the packed enumerator
-/// replaying an identical query on a warm same-graph scratch (cache-hit
-/// path) — so regressions in the reverse-BFS core are caught without
-/// running the full engine sweep.
+/// Subroutine-level `F-STP` bench: the path enumerator on a cold scratch
+/// (one reverse BFS per `E-STP` activation), so regressions in the
+/// reverse-BFS core are caught without running the full engine sweep.
 fn bench_fstp(c: &mut Criterion) {
     use steiner_paths::enumerate::{enumerate_paths_view, EnumerateOptions, PathScratch};
 
@@ -98,54 +95,30 @@ fn bench_fstp(c: &mut Criterion) {
         let csr = steiner_graph::CsrDigraph::doubled(&inst.graph);
         let (s, t) = (inst.terminals[0], inst.terminals[1]);
         let n = csr.num_vertices();
-        let run = |scratch: &mut PathScratch, packed: bool, fresh: bool| {
-            if fresh {
+        group.bench_function(BenchmarkId::new("cold", &inst.name), |b| {
+            let mut scratch = PathScratch::new();
+            scratch.preallocate(n);
+            b.iter(|| {
                 scratch.begin(n);
-            } else {
-                scratch.begin_same_graph(n);
-            }
-            let mut count = 0u64;
-            enumerate_paths_view(
-                &csr,
-                s,
-                t,
-                EnumerateOptions {
-                    packed_frontiers: packed,
-                    ..EnumerateOptions::default()
-                },
-                false,
-                scratch,
-                &mut |_| {
-                    count += 1;
-                    if count < CAP {
-                        ControlFlow::Continue(())
-                    } else {
-                        ControlFlow::Break(())
-                    }
-                },
-            );
-            count
-        };
-        group.bench_function(BenchmarkId::new("reference_cold", &inst.name), |b| {
-            let mut scratch = PathScratch::new();
-            scratch.preallocate(n, csr.num_arcs());
-            b.iter(|| run(&mut scratch, false, true))
-        });
-        group.bench_function(BenchmarkId::new("packed_cold", &inst.name), |b| {
-            let mut scratch = PathScratch::new();
-            scratch.preallocate(n, csr.num_arcs());
-            // `begin` drops the signature caches: every level recomputes
-            // at least once per iteration, as in a first-ever run.
-            b.iter(|| run(&mut scratch, true, true))
-        });
-        group.bench_function(BenchmarkId::new("packed_cache_hit", &inst.name), |b| {
-            let mut scratch = PathScratch::new();
-            scratch.preallocate(n, csr.num_arcs());
-            // Warm the caches once; each iteration then replays the
-            // identical query through `begin_same_graph`, so the BFS
-            // trees are served from the signature cache.
-            run(&mut scratch, true, true);
-            b.iter(|| run(&mut scratch, true, false))
+                let mut count = 0u64;
+                enumerate_paths_view(
+                    &csr,
+                    s,
+                    t,
+                    EnumerateOptions::default(),
+                    false,
+                    &mut scratch,
+                    &mut |_| {
+                        count += 1;
+                        if count < CAP {
+                            ControlFlow::Continue(())
+                        } else {
+                            ControlFlow::Break(())
+                        }
+                    },
+                );
+                count
+            })
         });
     }
     group.finish();

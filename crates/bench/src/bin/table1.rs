@@ -159,41 +159,29 @@ fn st_rows(rows: &mut Vec<Row>) {
     for (n, m) in [(60, 90), (120, 180), (240, 360)] {
         let inst = workloads::random_instance(n, m, 4, 42);
         let nm = (inst.graph.num_vertices() + inst.graph.num_edges()) as f64;
-        // Paired packed/reference path generation: the default "improved
-        // (Thm 17)" row runs the word-packed enumerator (bitset F-STP
-        // frontiers + cross-branch BFS-cache reuse); the "(reference)"
-        // row pins the per-vertex A/B engine. Both carry the share of
-        // work spent in path generation so the bottleneck claim lives in
-        // BENCH_core.json, not PR prose. (The share is computed against
-        // each row's own mode: a served cache hit skips work a
-        // recomputation would count.)
-        for (label, packed) in [
-            ("improved (Thm 17)", true),
-            ("improved (Thm 17, reference)", false),
-        ] {
-            let (run, stats) = Enumeration::new(SteinerTree::new(&inst.graph, &inst.terminals))
-                .with_packed_frontiers(packed)
-                .with_stats();
-            let delays = record_delays(CAP, |emit| {
-                run.for_each(|_| flow(emit())).expect("valid instance");
-            });
-            let stats = stats.get();
-            rows.push(Row {
-                problem: "Steiner Tree (§4)".into(),
-                algorithm: label.into(),
-                claimed: "O(n+m) amortized".into(),
-                instance: inst.name.clone(),
-                n: inst.graph.num_vertices(),
-                m: inst.graph.num_edges(),
-                t: 4,
-                solutions: delays.solutions,
-                delays,
-                max_work_gap: Some(stats.max_emission_gap),
-                work_gap_over_nm: Some(stats.max_emission_gap as f64 / nm),
-                path_gen_fraction: (stats.work > 0)
-                    .then(|| stats.path_gen_work as f64 / stats.work as f64),
-            });
-        }
+        // The row carries the share of work spent in path generation
+        // (`path_gen_fraction` in BENCH_core.json).
+        let (run, stats) =
+            Enumeration::new(SteinerTree::new(&inst.graph, &inst.terminals)).with_stats();
+        let delays = record_delays(CAP, |emit| {
+            run.for_each(|_| flow(emit())).expect("valid instance");
+        });
+        let stats = stats.get();
+        rows.push(Row {
+            problem: "Steiner Tree (§4)".into(),
+            algorithm: "improved (Thm 17)".into(),
+            claimed: "O(n+m) amortized".into(),
+            instance: inst.name.clone(),
+            n: inst.graph.num_vertices(),
+            m: inst.graph.num_edges(),
+            t: 4,
+            solutions: delays.solutions,
+            delays,
+            max_work_gap: Some(stats.max_emission_gap),
+            work_gap_over_nm: Some(stats.max_emission_gap as f64 / nm),
+            path_gen_fraction: (stats.work > 0)
+                .then(|| stats.path_gen_work as f64 / stats.work as f64),
+        });
         let query = Query::SteinerTree {
             terminals: inst.terminals.clone(),
         };

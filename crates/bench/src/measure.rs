@@ -73,9 +73,8 @@ pub struct Row {
     /// Work-gap bound `c` such that max gap ≤ c·(n+m), if known.
     pub work_gap_over_nm: Option<f64>,
     /// Share of `stats.work` attributed to the path-generation core
-    /// (`path_gen_work / work`), if known — the bottleneck the packed
-    /// frontiers target, recorded on the size-sweep rows so the claim is
-    /// visible in `BENCH_core.json`.
+    /// (`path_gen_work / work`), if known — recorded on the size-sweep
+    /// rows so the path-generation share is visible in `BENCH_core.json`.
     pub path_gen_fraction: Option<f64>,
 }
 

@@ -64,7 +64,6 @@ pub struct DirectedSteinerTree<'g> {
     search: Option<DirectedSearch>,
     level_cache_cap: Option<usize>,
     incremental: bool,
-    packed: bool,
 }
 
 /// The typed checkpoint frame of one descent: tree-vertex and tree-arc
@@ -119,7 +118,7 @@ struct DirBranchScratch {
 
 impl DirBranchScratch {
     fn preallocate(&mut self, n: usize, m: usize, level_cache_cap: usize) {
-        self.path.preallocate_capped(n + 2, m + 2, level_cache_cap);
+        self.path.preallocate_capped(n + 2, level_cache_cap);
         if self.boundary.capacity() < m + 2 {
             self.boundary.reserve(m + 2 - self.boundary.capacity());
         }
@@ -358,7 +357,6 @@ impl<'g> DirectedSteinerTree<'g> {
             search: None,
             level_cache_cap: None,
             incremental: true,
-            packed: true,
         }
     }
 
@@ -376,7 +374,6 @@ impl<'g> DirectedSteinerTree<'g> {
             search: None,
             level_cache_cap: None,
             incremental: true,
-            packed: true,
         }
     }
 
@@ -391,7 +388,6 @@ impl<'g> DirectedSteinerTree<'g> {
             search: self.search,
             level_cache_cap: self.level_cache_cap,
             incremental: self.incremental,
-            packed: self.packed,
         }
     }
 }
@@ -538,7 +534,6 @@ impl MinimalSteinerProblem for DirectedSteinerTree<'_> {
             search: None,
             level_cache_cap: self.level_cache_cap,
             incremental: self.incremental,
-            packed: self.packed,
         })
     }
 
@@ -548,10 +543,6 @@ impl MinimalSteinerProblem for DirectedSteinerTree<'_> {
 
     fn set_incremental(&mut self, on: bool) {
         self.incremental = on;
-    }
-
-    fn set_packed_frontiers(&mut self, on: bool) {
-        self.packed = on;
     }
 
     fn cache_key(&self) -> Option<crate::cache::CacheKey> {
@@ -855,9 +846,7 @@ impl MinimalSteinerProblem for DirectedSteinerTree<'_> {
             let mut bs = std::mem::take(&mut search.pool[depth]);
             bs.sources.clear();
             bs.sources.extend_from_slice(&search.tree_vertices);
-            // Same prepared CSR on every branch of this search: keep
-            // the packed per-level BFS caches across branch nodes.
-            bs.path.begin_same_graph(search.csr.num_vertices() + 1);
+            bs.path.begin(search.csr.num_vertices() + 1);
             (bs, Arc::clone(&search.csr), depth)
         };
         let mut children = 0u64;
@@ -871,10 +860,7 @@ impl MinimalSteinerProblem for DirectedSteinerTree<'_> {
             &csr,
             sources,
             w,
-            EnumerateOptions {
-                packed_frontiers: self.packed,
-                ..EnumerateOptions::default()
-            },
+            EnumerateOptions::default(),
             path,
             boundary,
             &mut |p| {

@@ -72,7 +72,6 @@ pub struct SteinerForest<'g> {
     search: Option<ForestSearch>,
     level_cache_cap: Option<usize>,
     incremental: bool,
-    packed: bool,
 }
 
 /// The typed checkpoint frame of one descent: forest-edge stack length,
@@ -161,8 +160,7 @@ impl ForestDepthScratch {
         grow(&mut self.vertex_map, n, VertexId(0), &mut self.allocs);
         self.cg.preallocate(n, m);
         self.doubled.preallocate(n, 2 * m);
-        self.path
-            .preallocate_capped(n + 2, 2 * m + 2, level_cache_cap);
+        self.path.preallocate_capped(n + 2, level_cache_cap);
         if self.edges.capacity() < n + 1 {
             self.edges.reserve(n + 1 - self.edges.capacity());
         }
@@ -432,7 +430,6 @@ impl<'g> SteinerForest<'g> {
             search: None,
             level_cache_cap: None,
             incremental: true,
-            packed: true,
         }
     }
 
@@ -445,7 +442,6 @@ impl<'g> SteinerForest<'g> {
             search: None,
             level_cache_cap: None,
             incremental: true,
-            packed: true,
         }
     }
 
@@ -459,7 +455,6 @@ impl<'g> SteinerForest<'g> {
             search: self.search,
             level_cache_cap: self.level_cache_cap,
             incremental: self.incremental,
-            packed: self.packed,
         }
     }
 }
@@ -648,7 +643,6 @@ impl MinimalSteinerProblem for SteinerForest<'_> {
             search: None,
             level_cache_cap: self.level_cache_cap,
             incremental: self.incremental,
-            packed: self.packed,
         })
     }
 
@@ -658,10 +652,6 @@ impl MinimalSteinerProblem for SteinerForest<'_> {
 
     fn set_incremental(&mut self, on: bool) {
         self.incremental = on;
-    }
-
-    fn set_packed_frontiers(&mut self, on: bool) {
-        self.packed = on;
     }
 
     fn cache_key(&self) -> Option<crate::cache::CacheKey> {
@@ -978,9 +968,6 @@ impl MinimalSteinerProblem for SteinerForest<'_> {
         let (w, w2) = pair;
         let (cw, cw2) = (ds.vertex_map[w.index()], ds.vertex_map[w2.index()]);
         ds.doubled.rebuild_doubled_from_csr(&ds.cg);
-        // The doubled graph was just rebuilt from this branch's
-        // contraction, so stale BFS trees from other contractions must
-        // not survive: full `begin`, not `begin_same_graph`.
         ds.path.begin(ds.doubled.num_vertices());
         let mut children = 0u64;
         let mut flow = ControlFlow::Continue(());
@@ -995,10 +982,7 @@ impl MinimalSteinerProblem for SteinerForest<'_> {
             doubled,
             cw,
             cw2,
-            EnumerateOptions {
-                packed_frontiers: self.packed,
-                ..EnumerateOptions::default()
-            },
+            EnumerateOptions::default(),
             false,
             path,
             &mut |p| {

@@ -66,7 +66,6 @@ pub struct SteinerTree<'g> {
     search: Option<TreeSearch>,
     level_cache_cap: Option<usize>,
     incremental: bool,
-    packed: bool,
 }
 
 /// The typed checkpoint frame of one descent: partial-tree extension,
@@ -140,8 +139,7 @@ pub(crate) struct BranchScratch {
 
 impl BranchScratch {
     pub(crate) fn preallocate(&mut self, n: usize, m: usize, level_cache_cap: usize) {
-        self.path
-            .preallocate_capped(n + 2, 2 * m + 2, level_cache_cap);
+        self.path.preallocate_capped(n + 2, level_cache_cap);
         if self.boundary.capacity() < 2 * m + 2 {
             self.boundary.reserve(2 * m + 2 - self.boundary.capacity());
         }
@@ -230,7 +228,6 @@ impl<'g> SteinerTree<'g> {
             search: None,
             level_cache_cap: None,
             incremental: true,
-            packed: true,
         }
     }
 
@@ -243,7 +240,6 @@ impl<'g> SteinerTree<'g> {
             search: None,
             level_cache_cap: None,
             incremental: true,
-            packed: true,
         }
     }
 
@@ -257,7 +253,6 @@ impl<'g> SteinerTree<'g> {
             search: self.search,
             level_cache_cap: self.level_cache_cap,
             incremental: self.incremental,
-            packed: self.packed,
         }
     }
 }
@@ -288,7 +283,6 @@ impl MinimalSteinerProblem for SteinerTree<'_> {
             search: None,
             level_cache_cap: self.level_cache_cap,
             incremental: self.incremental,
-            packed: self.packed,
         })
     }
 
@@ -298,10 +292,6 @@ impl MinimalSteinerProblem for SteinerTree<'_> {
 
     fn set_incremental(&mut self, on: bool) {
         self.incremental = on;
-    }
-
-    fn set_packed_frontiers(&mut self, on: bool) {
-        self.packed = on;
     }
 
     fn cache_key(&self) -> Option<crate::cache::CacheKey> {
@@ -614,10 +604,7 @@ impl MinimalSteinerProblem for SteinerTree<'_> {
             // before the children mutate it.
             bs.sources.clear();
             bs.sources.extend_from_slice(&search.t.vertices);
-            // Same prepared CSR on every branch of this search, so the
-            // packed per-level BFS caches may survive across branch
-            // nodes (the cross-branch reuse the packed mode is for).
-            bs.path.begin_same_graph(search.csr.num_vertices() + 1);
+            bs.path.begin(search.csr.num_vertices() + 1);
             (bs, Arc::clone(&search.doubled), depth)
         };
         let mut children = 0u64;
@@ -632,10 +619,7 @@ impl MinimalSteinerProblem for SteinerTree<'_> {
             &doubled,
             sources,
             w,
-            EnumerateOptions {
-                packed_frontiers: self.packed,
-                ..EnumerateOptions::default()
-            },
+            EnumerateOptions::default(),
             path,
             boundary,
             &mut |p| {

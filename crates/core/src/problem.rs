@@ -397,23 +397,6 @@ pub trait MinimalSteinerProblem {
         let _ = on;
     }
 
-    /// Enables or disables **word-packed path generation**
-    /// ([`Enumeration::with_packed_frontiers`](crate::solver::Enumeration::with_packed_frontiers)).
-    ///
-    /// When enabled (the default for the four paper problems), the
-    /// per-branch-node path enumerator runs its `F-STP` reverse BFS over
-    /// `u64`-word bitsets, reuses cached per-level BFS trees across
-    /// branch nodes whose removed-mask signature matches (counted in
-    /// [`EnumStats::fstp_cache_hits`](crate::EnumStats::fstp_cache_hits)),
-    /// and reconstructs all child paths of a branch node in one flat
-    /// batch; when disabled, the per-vertex stamp/`Vec<bool>` reference
-    /// enumerator runs instead. **Both modes must deliver byte-identical
-    /// solution streams** — only the constant factor changes. Must be
-    /// called before [`Self::prepare`]. The default ignores the hint.
-    fn set_packed_frontiers(&mut self, on: bool) {
-        let _ = on;
-    }
-
     /// Captures the partial solution currently applied to the search
     /// state as a replayable [`SubtreeRecord`] — called from inside a
     /// `branch` callback at **any** depth: by the sharded front-end's

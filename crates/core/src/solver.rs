@@ -467,40 +467,6 @@ impl<P: MinimalSteinerProblem> Enumeration<P> {
         self
     }
 
-    /// Enables or disables **word-packed path generation** (default: on
-    /// for the four paper problems).
-    ///
-    /// On, each branch node's child paths come from the packed
-    /// enumerator: the `F-STP` reverse BFS sweeps `u64`-word bitset
-    /// frontiers instead of per-vertex stamps, per-level BFS trees are
-    /// reused across branch nodes whose removed-mask signature matches
-    /// (counted in [`EnumStats::fstp_cache_hits`] /
-    /// [`EnumStats::fstp_cache_misses`]), and all child paths of a
-    /// branch node are reconstructed in one flat batch; off, the
-    /// per-vertex reference enumerator runs — kept as the A/B
-    /// conformance path. **The delivered stream is byte-identical either
-    /// way** (asserted across all four problems and every front-end in
-    /// `tests/packed_frontiers.rs`); the difference is visible only in
-    /// wall-clock time and the cache counters.
-    ///
-    /// ```
-    /// use steiner_core::{Enumeration, SteinerTree};
-    /// use steiner_graph::{UndirectedGraph, VertexId};
-    ///
-    /// let g = UndirectedGraph::from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]).unwrap();
-    /// let w = [VertexId(0), VertexId(2)];
-    /// let packed = Enumeration::new(SteinerTree::new(&g, &w)).collect_vec().unwrap();
-    /// let reference = Enumeration::new(SteinerTree::new(&g, &w))
-    ///     .with_packed_frontiers(false)
-    ///     .collect_vec()
-    ///     .unwrap();
-    /// assert_eq!(packed, reference);
-    /// ```
-    pub fn with_packed_frontiers(mut self, on: bool) -> Self {
-        self.problem.set_packed_frontiers(on);
-        self
-    }
-
     /// Caps the per-level path-enumeration caches each worker
     /// preallocates in `prepare` — the
     /// [ROADMAP's level-cache memory knob](crate::problem::MinimalSteinerProblem::set_level_cache_cap)

@@ -121,19 +121,15 @@ pub struct EnumStats {
     /// `E-STP`/`F-STP` enumerator) across all branch-node calls — a
     /// subset of [`Self::work`], surfaced so the size-sweep bench can
     /// report the path-generation share directly. Sums under
-    /// [`Self::merge`]. Note the packed and reference path generators
-    /// count slightly different unit totals for the same stream (a
-    /// served cache hit skips the BFS work a recomputation would count),
-    /// so this figure is comparable within one mode, not across modes.
+    /// [`Self::merge`].
     pub path_gen_work: u64,
-    /// Per-level `F-STP` reverse-BFS trees served from the packed
-    /// signature cache instead of recomputed (see
-    /// [`with_packed_frontiers`](crate::Enumeration::with_packed_frontiers)).
-    /// Zero when packed frontiers are disabled. Sums under [`Self::merge`].
+    /// `F-STP` calls served by the reverse BFS their `E-STP` activation
+    /// already ran (every sibling call after the activation's first),
+    /// summed over all branch-node path enumerations. Sums under
+    /// [`Self::merge`].
     pub fstp_cache_hits: u64,
-    /// Per-level `F-STP` reverse-BFS recomputations under packed
-    /// frontiers (signature mismatch or cold level). Zero when packed
-    /// frontiers are disabled. Sums under [`Self::merge`].
+    /// `F-STP` calls that ran the reverse BFS — one per `E-STP`
+    /// activation. Sums under [`Self::merge`].
     pub fstp_cache_misses: u64,
     /// Work units at the last emission (internal bookkeeping for the gap).
     last_emission_work: u64,

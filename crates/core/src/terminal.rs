@@ -88,7 +88,6 @@ pub struct TerminalSteinerTree<'g> {
     search: Option<TerminalSearch>,
     level_cache_cap: Option<usize>,
     incremental: bool,
-    packed: bool,
 }
 
 /// The typed checkpoint frame of one descent in component mode.
@@ -255,7 +254,6 @@ impl<'g> TerminalSteinerTree<'g> {
             search: None,
             level_cache_cap: None,
             incremental: true,
-            packed: true,
         }
     }
 
@@ -268,7 +266,6 @@ impl<'g> TerminalSteinerTree<'g> {
             search: None,
             level_cache_cap: None,
             incremental: true,
-            packed: true,
         }
     }
 
@@ -282,7 +279,6 @@ impl<'g> TerminalSteinerTree<'g> {
             search: self.search,
             level_cache_cap: self.level_cache_cap,
             incremental: self.incremental,
-            packed: self.packed,
         }
     }
 }
@@ -420,7 +416,6 @@ impl MinimalSteinerProblem for TerminalSteinerTree<'_> {
             search: None,
             level_cache_cap: self.level_cache_cap,
             incremental: self.incremental,
-            packed: self.packed,
         })
     }
 
@@ -430,10 +425,6 @@ impl MinimalSteinerProblem for TerminalSteinerTree<'_> {
 
     fn set_incremental(&mut self, on: bool) {
         self.incremental = on;
-    }
-
-    fn set_packed_frontiers(&mut self, on: bool) {
-        self.packed = on;
     }
 
     fn cache_key(&self) -> Option<crate::cache::CacheKey> {
@@ -473,7 +464,6 @@ impl MinimalSteinerProblem for TerminalSteinerTree<'_> {
             let mut path = PathScratch::new();
             path.preallocate_capped(
                 n + 2,
-                2 * g.num_edges() + 2,
                 self.level_cache_cap
                     .unwrap_or(steiner_paths::enumerate::DEFAULT_LEVEL_CACHE_CAP),
             );
@@ -986,18 +976,13 @@ impl TerminalSteinerTree<'_> {
                         Arc::clone(&ts.doubled),
                     )
                 };
-                // The search's doubled CSR is fixed, so packed BFS
-                // caches may survive across root replays.
-                path.begin_same_graph(doubled.num_vertices() + 1);
+                path.begin(doubled.num_vertices() + 1);
                 let sources = [w0];
                 let pstats = enumerate_source_set_paths_csr(
                     &doubled,
                     &sources,
                     w1,
-                    EnumerateOptions {
-                        packed_frontiers: self.packed,
-                        ..EnumerateOptions::default()
-                    },
+                    EnumerateOptions::default(),
                     &mut path,
                     &mut boundary,
                     &mut |p| {
@@ -1034,9 +1019,7 @@ impl TerminalSteinerTree<'_> {
                     // using the component's precomputed mask.
                     {
                         let cs = self.components_mut();
-                        // Same contracted doubled CSR for every
-                        // component and depth: keep the packed caches.
-                        let removed = bs.path.begin_same_graph(n + 1);
+                        let removed = bs.path.begin(n + 1);
                         for (v, r) in removed.iter_mut().enumerate().take(n) {
                             *r = !cs.comps[ci].allowed01[v];
                         }
@@ -1054,10 +1037,7 @@ impl TerminalSteinerTree<'_> {
                         &doubled,
                         sources,
                         w1,
-                        EnumerateOptions {
-                            packed_frontiers: self.packed,
-                            ..EnumerateOptions::default()
-                        },
+                        EnumerateOptions::default(),
                         path,
                         boundary,
                         &mut |p| {
@@ -1101,9 +1081,7 @@ impl TerminalSteinerTree<'_> {
             let ctx = &cs.comps[cs.active.expect("active component set by the root branch")];
             let n = cs.gc.num_vertices();
             // Sources: V(T) ∩ C; excluded vertices: outside C ∪ {w}.
-            // Same contracted doubled CSR on every branch of this
-            // search: keep the packed caches.
-            let removed = bs.path.begin_same_graph(n + 1);
+            let removed = bs.path.begin(n + 1);
             for (v, r) in removed.iter_mut().enumerate().take(n) {
                 *r = !(ctx.comp_mask[v] || VertexId::new(v) == w);
             }
@@ -1129,10 +1107,7 @@ impl TerminalSteinerTree<'_> {
             &doubled,
             sources,
             w,
-            EnumerateOptions {
-                packed_frontiers: self.packed,
-                ..EnumerateOptions::default()
-            },
+            EnumerateOptions::default(),
             path,
             boundary,
             &mut |p| {

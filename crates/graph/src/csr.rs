@@ -39,27 +39,9 @@ pub fn push_tracked<T>(v: &mut Vec<T>, x: T, allocs: &mut u64) {
 }
 
 // ---------------------------------------------------------------------------
-// Word-packed bitsets.
-//
-// The path-generation hot path sweeps vertex sets (`reached`, `removed`,
-// `admissible`) over the CSR views above. Packing them into `u64` words
-// turns per-vertex branchy probes into single-bit tests on 8-byte cache
-// lines (64 vertices per line instead of 1–4), and set algebra like
-// "reached and not removed" into word-parallel AND-NOT loops. The helpers
-// are free functions over plain `&[u64]` slices so callers keep the
-// grow/alloc accounting of their owning `Vec<u64>` (via [`grow`]).
-
-/// Number of `u64` words needed for an `n`-bit set.
-#[inline]
-pub const fn bit_words(n: usize) -> usize {
-    n.div_ceil(64)
-}
-
-/// Tests bit `i`.
-#[inline]
-pub fn bit_test(words: &[u64], i: usize) -> bool {
-    (words[i >> 6] >> (i & 63)) & 1 != 0
-}
+// Word-packed bitsets: free functions over plain `&[u64]` slices, so
+// callers keep the grow/alloc accounting of their owning `Vec<u64>` (via
+// [`grow`]).
 
 /// Sets bit `i`.
 #[inline]
@@ -71,79 +53,6 @@ pub fn bit_set(words: &mut [u64], i: usize) {
 #[inline]
 pub fn bit_clear(words: &mut [u64], i: usize) {
     words[i >> 6] &= !(1u64 << (i & 63));
-}
-
-/// Sets bit `i` to `on`.
-#[inline]
-pub fn bit_assign(words: &mut [u64], i: usize, on: bool) {
-    let w = &mut words[i >> 6];
-    let m = 1u64 << (i & 63);
-    *w = (*w & !m) | (u64::from(on) << (i & 63));
-}
-
-/// Zeroes the whole set (a word-wise memset — the packed replacement for
-/// an epoch bump over a per-vertex stamp array).
-#[inline]
-pub fn bits_clear(words: &mut [u64]) {
-    words.fill(0);
-}
-
-/// `dst = a & !b`, word-parallel. The "admissible frontier" sweep:
-/// `a` = reached-from-`t`, `b` = removed, `dst` = vertices an arc may
-/// legally continue to.
-#[inline]
-pub fn bits_and_not(dst: &mut [u64], a: &[u64], b: &[u64]) {
-    for ((d, &x), &y) in dst.iter_mut().zip(a).zip(b) {
-        *d = x & !y;
-    }
-}
-
-/// Tests bit `i` and clears it when set. The fused BFS-frontier probe:
-/// with a candidate set `¬removed ∧ ¬reached`, "may this arc stamp `z`?"
-/// and "stamp `z`" collapse into one word access. The store is skipped
-/// on the (common) miss path so probing an already-taken bit stays
-/// read-only.
-#[inline]
-pub fn bit_take(words: &mut [u64], i: usize) -> bool {
-    let w = &mut words[i >> 6];
-    let m = 1u64 << (i & 63);
-    if *w & m == 0 {
-        return false;
-    }
-    *w &= !m;
-    true
-}
-
-/// `dst = !(a | b)`, word-parallel. Builds the candidate frontier
-/// `¬removed ∧ ¬reached` in one pass when `a` = removed and `b` =
-/// already-reached (or zero).
-#[inline]
-pub fn bits_not_or(dst: &mut [u64], a: &[u64], b: &[u64]) {
-    for ((d, &x), &y) in dst.iter_mut().zip(a).zip(b) {
-        *d = !(x | y);
-    }
-}
-
-/// `dst = !a`, word-parallel: seeds a candidate set from a removal mask.
-#[inline]
-pub fn bits_not(dst: &mut [u64], a: &[u64]) {
-    for (d, &x) in dst.iter_mut().zip(a) {
-        *d = !x;
-    }
-}
-
-/// The splitmix64 finalizer: a cheap, high-quality 64-bit mixer used to
-/// derive per-vertex Zobrist hashes for removal-mask signatures (the
-/// cross-branch `F-STP` cache key). XOR-folding `mix64` values is
-/// history-independent: masking and unmasking the same vertex cancels.
-#[inline]
-pub const fn mix64(mut x: u64) -> u64 {
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^= x >> 31;
-    x
 }
 
 /// An undirected multigraph in CSR form: `adjacency(v)` is a packed slice
@@ -820,47 +729,17 @@ mod tests {
 
     #[test]
     fn bitset_helpers_round_trip() {
-        let n = 130;
-        let mut words = vec![0u64; bit_words(n)];
-        assert_eq!(words.len(), 3);
+        let mut words = vec![0u64; 3];
         for i in [0usize, 1, 63, 64, 65, 127, 128, 129] {
-            assert!(!bit_test(&words, i));
             bit_set(&mut words, i);
-            assert!(bit_test(&words, i));
         }
+        assert_eq!(words, vec![(1 << 63) | 3, (1 << 63) | 3, 3]);
         bit_clear(&mut words, 64);
-        assert!(!bit_test(&words, 64));
-        bit_assign(&mut words, 64, true);
-        assert!(bit_test(&words, 64));
-        bit_assign(&mut words, 64, false);
-        assert!(!bit_test(&words, 64));
-        let a = words.clone();
-        let mut b = vec![0u64; 3];
-        bit_set(&mut b, 63);
-        bit_set(&mut b, 129);
-        let mut dst = vec![u64::MAX; 3];
-        bits_and_not(&mut dst, &a, &b);
-        assert!(bit_test(&dst, 0) && !bit_test(&dst, 63) && !bit_test(&dst, 129));
-        assert!(bit_test(&dst, 128));
-        bits_clear(&mut dst);
-        assert_eq!(dst, vec![0u64; 3]);
-        // bit_take: first probe claims the bit, the second misses.
-        let mut c = vec![0u64; 3];
-        bit_set(&mut c, 65);
-        assert!(bit_take(&mut c, 65));
-        assert!(!bit_take(&mut c, 65));
-        assert!(!bit_take(&mut c, 64));
-        // bits_not / bits_not_or complement word-wise.
-        let mut inv = vec![0u64; 3];
-        bits_not(&mut inv, &b);
-        assert!(!bit_test(&inv, 63) && bit_test(&inv, 64) && !bit_test(&inv, 129));
-        let mut nor = vec![0u64; 3];
-        bits_not_or(&mut nor, &a, &b);
-        assert!(!bit_test(&nor, 63) && !bit_test(&nor, 0) && bit_test(&nor, 70));
-        // The Zobrist fold cancels: x ^ h ^ h == x, and mix64 separates
-        // nearby inputs.
-        assert_ne!(mix64(1), mix64(2));
-        assert_eq!(0x1234u64 ^ mix64(7) ^ mix64(7), 0x1234);
+        bit_clear(&mut words, 129);
+        assert_eq!(words, vec![(1 << 63) | 3, (1 << 63) | 2, 1]);
+        // Clearing an unset bit is a no-op.
+        bit_clear(&mut words, 64);
+        assert_eq!(words[1], (1 << 63) | 2);
     }
 
     #[test]

@@ -30,10 +30,6 @@
 
 use crate::visit::PathEvent;
 use std::ops::ControlFlow;
-use steiner_graph::csr::{
-    bit_assign, bit_clear, bit_set, bit_take, bit_test, bit_words, bits_not, bits_not_or, mix64,
-    push_tracked,
-};
 use steiner_graph::{ArcId, CsrDigraph, DiGraph, VertexId};
 
 /// Counters reported by a finished (or stopped) enumeration.
@@ -44,18 +40,16 @@ pub struct PathEnumStats {
     /// Algorithmic work units (≈ arcs/vertices touched); the empirical
     /// stand-in for the paper's O(n + m)-per-solution accounting.
     pub work: u64,
-    /// Packed mode only: `F-STP` activations whose level cache already
-    /// held the reverse BFS for the current `(mask signature, banned
-    /// arc, s′)` key — sibling reuse within an activation plus genuine
-    /// cross-activation and cross-run reuse.
+    /// `F-STP` calls served by the reverse BFS their `E-STP` activation
+    /// already ran: every sibling call after an activation's first.
     pub fstp_cache_hits: u64,
-    /// Packed mode only: `F-STP` activations that had to (re)run the
-    /// reverse BFS.
+    /// `F-STP` calls that ran the reverse BFS — one per `E-STP`
+    /// activation.
     pub fstp_cache_misses: u64,
 }
 
 /// Tuning knobs for [`enumerate_directed_st_paths_with`]: the Lemma 11
-/// ablation switch and the word-packed engine switch.
+/// ablation switch.
 #[derive(Copy, Clone, Debug)]
 pub struct EnumerateOptions {
     /// Use the Lemma 11 *incremental* reachability sweep (O(n + m) for all
@@ -65,30 +59,14 @@ pub struct EnumerateOptions {
     /// §3 revision of Read–Tarjan eliminates. Exposed for the ablation
     /// bench (`cargo bench -p steiner-bench --bench ablation`).
     pub incremental_extendibility: bool,
-    /// Run the word-packed `E-STP`/`F-STP` engine (the default): `u64`
-    /// bitset BFS frontiers, a Zobrist-signature-keyed cross-branch
-    /// reverse-BFS cache, and flat per-activation child-run emission.
-    /// When `false`, the original per-vertex stamp engine runs instead —
-    /// the A/B reference. Both produce byte-identical streams; only the
-    /// `work`/cache counters differ (cache hits skip counted BFS work).
-    pub packed_frontiers: bool,
 }
 
 impl Default for EnumerateOptions {
     fn default() -> Self {
         EnumerateOptions {
             incremental_extendibility: true,
-            packed_frontiers: true,
         }
     }
-}
-
-/// Per-vertex Zobrist hash for the removal-mask signature. Seeded so that
-/// vertex 0 gets a nonzero hash (the raw splitmix64 finalizer maps 0 to
-/// 0, which would make vertex 0 invisible to the signature).
-#[inline]
-fn vsig(v: usize) -> u64 {
-    mix64(v as u64 ^ 0x9e37_79b9_7f4a_7c15)
 }
 
 /// The adjacency interface the Algorithm-1 engine runs on. Implemented by
@@ -206,24 +184,6 @@ impl PathView for VirtualSourceView<'_> {
 #[derive(Clone, Debug, Default)]
 pub struct PathScratch {
     removed: Vec<bool>,
-    /// Packed mode: `u64`-word mirror of `removed`, rebuilt at run start
-    /// and maintained by every engine mask write thereafter.
-    removed_bits: Vec<u64>,
-    /// Packed mode: Zobrist XOR-fold of [`vsig`] over the removed
-    /// vertices — the incrementally maintained removal-mask signature
-    /// that keys the cross-branch `F-STP` cache. XOR-folding makes it
-    /// history-independent: a balanced mask/unmask pair restores it.
-    sig: u64,
-    /// Packed mode: per-vertex Zobrist hash table (`vsigs[v] = vsig(v)`),
-    /// so the per-toggle signature update is a load+xor instead of a
-    /// mix64 evaluation.
-    vsigs: Vec<u64>,
-    /// Packed mode: the transient candidate frontier `¬removed ∧
-    /// ¬reached` shared by every BFS and extendibility sweep. Fusing the
-    /// two exclusion tests into one bitset makes the per-arc probe a
-    /// single [`bit_take`]; the buffer is dead between uses, so one
-    /// instance serves every recursion level.
-    cand: Vec<u64>,
     stamp: Vec<u32>,
     epoch: u32,
     queue: Vec<VertexId>,
@@ -233,6 +193,15 @@ pub struct PathScratch {
     /// reuses it for every sibling continuation. Level-local arrays keep
     /// deeper recursion from clobbering the cache.
     levels: Vec<LevelScratch>,
+    /// Level `d`'s reach-`t` stamps and reverse-BFS tree: the ranges
+    /// `[d·level_n, (d + 1)·level_n)` of these two slabs. Two allocations
+    /// for all levels, rather than two per level, keep `preallocate` from
+    /// touching a page per level: a run only faults in the levels its
+    /// recursion reaches.
+    level_stamp: Vec<u32>,
+    level_next: Vec<ArcId>,
+    /// Vertex count the level slabs are laid out for.
+    level_n: usize,
     cur_vertices: Vec<VertexId>,
     cur_arcs: Vec<ArcId>,
     out_vertices: Vec<VertexId>,
@@ -242,43 +211,16 @@ pub struct PathScratch {
     qa: Vec<ArcId>,
     /// Extendible-index arena (same LIFO discipline).
     ext: Vec<u32>,
-    /// Packed mode: per-activation sibling-run frames (LIFO per batch).
-    frames: Vec<QFrame>,
     allocs: u64,
 }
 
-/// One recursion level's cached `F-STP` reverse BFS. The reference
-/// engine uses the epoch-stamped `stamp` plus the per-activation `valid`
-/// flag; the packed engine uses the `admissible` bitset plus the
-/// `(key_sig, key_s1, key_t)` signature key — the banned arc is *not*
-/// part of the key because its tail is always `s′` (it is the arc the
-/// activation arrived on), which the BFS masks regardless, so the BFS
-/// tree is independent of it. `next_arc` (the reverse-BFS tree) is
-/// shared, so whichever engine recomputes the BFS invalidates the
-/// other's cache view.
+/// One recursion level's cached `F-STP` reverse BFS (its arrays live in
+/// the [`PathScratch`] level slabs): valid for the rest of the `E-STP`
+/// activation that computed it.
 #[derive(Clone, Debug, Default)]
 struct LevelScratch {
-    stamp: Vec<u32>,
-    next_arc: Vec<ArcId>,
     epoch: u32,
     valid: bool,
-    /// Packed: `reached ∧ ¬removed` at BFS time — the legal heads for
-    /// the smallest-admissible-first-arc scan (derived from the
-    /// candidate frontier left over by the BFS, so no separate reached
-    /// bitset is stored).
-    admissible: Vec<u64>,
-    /// Packed cache key: removal-mask signature at BFS time.
-    key_sig: u64,
-    /// Packed cache key: `s′` (masked during the BFS, hence part of the
-    /// key rather than the signature).
-    key_s1: u32,
-    /// Packed cache key: the BFS target `t` — constant within one run,
-    /// but the cache deliberately survives across runs sharing the
-    /// scratch, and a later run may aim at a different target over the
-    /// same mask.
-    key_t: u32,
-    /// Whether the packed cache (and its key) is populated.
-    packed_valid: bool,
 }
 
 /// Default cap on the number of per-level reverse-BFS caches that
@@ -296,16 +238,16 @@ impl PathScratch {
     }
 
     /// Sizes every buffer for a graph with `n` vertices (including any
-    /// virtual source) and `m` arcs, so subsequent enumerations do not
-    /// allocate on instances whose recursion stays within
+    /// virtual source), so subsequent enumerations do not allocate on
+    /// instances whose recursion stays within
     /// [`DEFAULT_LEVEL_CACHE_CAP`] levels. The per-level BFS caches are
     /// **not** sized for the worst case of the recursion (which is one
     /// level per frame — O(n) levels of O(n) words each, the same O(n²)
     /// order as the paper's output-queue space bound): preallocation
     /// stops at the cap and deeper levels are grown on demand, counted
     /// in [`Self::alloc_events`].
-    pub fn preallocate(&mut self, n: usize, m: usize) {
-        self.preallocate_capped(n, m, DEFAULT_LEVEL_CACHE_CAP);
+    pub fn preallocate(&mut self, n: usize) {
+        self.preallocate_capped(n, DEFAULT_LEVEL_CACHE_CAP);
     }
 
     /// As [`Self::preallocate`] with an explicit cap on the number of
@@ -314,34 +256,19 @@ impl PathScratch {
     /// owns two `n`-word arrays, so the warm-up footprint is
     /// `2n · min(n + 2, cap)` words). A small cap never changes results
     /// or reachable depth; deep runs just grow the cache on demand.
-    pub fn preallocate_capped(&mut self, n: usize, m: usize, level_cache_cap: usize) {
+    pub fn preallocate_capped(&mut self, n: usize, level_cache_cap: usize) {
         self.removed
             .reserve(n.saturating_sub(self.removed.capacity()));
-        let nw = bit_words(n);
-        self.removed_bits
-            .reserve(nw.saturating_sub(self.removed_bits.capacity()));
-        self.cand.reserve(nw.saturating_sub(self.cand.capacity()));
-        self.vsigs.reserve(n.saturating_sub(self.vsigs.capacity()));
         self.stamp.reserve(n.saturating_sub(self.stamp.capacity()));
         self.queue.reserve(n.saturating_sub(self.queue.capacity()));
         let depth_cap = (n + 2).min(level_cache_cap.max(1));
-        if self.levels.capacity() < depth_cap {
-            self.levels.reserve(depth_cap - self.levels.capacity());
-        }
-        while self.levels.len() < depth_cap {
-            self.levels.push(LevelScratch::default());
-        }
-        for lvl in &mut self.levels {
-            if lvl.stamp.capacity() < n {
-                lvl.stamp.reserve(n - lvl.stamp.capacity());
-            }
-            if lvl.next_arc.capacity() < n {
-                lvl.next_arc.reserve(n - lvl.next_arc.capacity());
-            }
-            if lvl.admissible.capacity() < nw {
-                lvl.admissible.reserve(nw - lvl.admissible.capacity());
-            }
-        }
+        self.levels
+            .reserve(depth_cap.saturating_sub(self.levels.len()));
+        let slab = depth_cap * n;
+        self.level_stamp
+            .reserve(slab.saturating_sub(self.level_stamp.len()));
+        self.level_next
+            .reserve(slab.saturating_sub(self.level_next.len()));
         let cap1 = n + 2;
         self.cur_vertices
             .reserve(cap1.saturating_sub(self.cur_vertices.capacity()));
@@ -351,47 +278,17 @@ impl PathScratch {
             .reserve(cap1.saturating_sub(self.out_vertices.capacity()));
         self.out_arcs
             .reserve(cap1.saturating_sub(self.out_arcs.capacity()));
-        // The reference engine holds one continuation per recursion level
-        // (O(n²) arena entries at worst); packed mode materializes each
-        // activation's whole sibling run up front, adding a degree-
-        // weighted term bounded by the arcs incident to the (distinct)
-        // path tips — hence the extra m-proportional slack on `qv`/`qa`.
+        // One continuation per recursion level: O(n²) arena entries at
+        // worst.
         let arena = ((n + 2) * (n + 2)).min(1 << 18);
-        let q_arena = ((n + 2) * (n + 2) + 32 * (m + 2)).min(1 << 18);
-        self.qv.reserve(q_arena.saturating_sub(self.qv.capacity()));
-        self.qa.reserve(q_arena.saturating_sub(self.qa.capacity()));
+        self.qv.reserve(arena.saturating_sub(self.qv.capacity()));
+        self.qa.reserve(arena.saturating_sub(self.qa.capacity()));
         self.ext.reserve(arena.saturating_sub(self.ext.capacity()));
-        // One frame per admissible sibling; the tips along one recursion
-        // chain are distinct vertices, so the chain total is ≤ m + n.
-        let f_arena = (n + m + 8).min(1 << 16);
-        self.frames
-            .reserve(f_arena.saturating_sub(self.frames.capacity()));
     }
 
     /// Resets the removal mask to `n` unmasked vertices and returns it for
     /// the caller to mark sources / disallowed vertices before the run.
-    ///
-    /// Makes no assumption about the graph of the upcoming run, so the
-    /// packed engine's cross-run reverse-BFS caches are dropped — a
-    /// cached BFS tree from a *different* graph that happens to match
-    /// the signature key would reconstruct garbage. Callers that pin one
-    /// graph per scratch should use [`Self::begin_same_graph`].
     pub fn begin(&mut self, n: usize) -> &mut [bool] {
-        for lvl in &mut self.levels {
-            lvl.packed_valid = false;
-        }
-        self.begin_same_graph(n)
-    }
-
-    /// As [`Self::begin`], additionally promising that the arc structure
-    /// (adjacency and arc ids) is unchanged since the previous run on
-    /// this scratch. Under that promise the packed engine's
-    /// signature-keyed reverse-BFS caches survive across runs — the
-    /// cross-branch reuse the Steiner enumerators lean on: two branch
-    /// nodes with the same vertex set and target (common when distinct
-    /// partial trees span the same vertices) replay each other's BFS
-    /// trees instead of recomputing them.
-    pub fn begin_same_graph(&mut self, n: usize) -> &mut [bool] {
         steiner_graph::csr::grow(&mut self.removed, n, false, &mut self.allocs);
         &mut self.removed
     }
@@ -410,22 +307,13 @@ impl PathScratch {
 
     /// Bytes of owned buffer capacity (scratch-space accounting).
     pub fn capacity_bytes(&self) -> u64 {
-        let levels: usize = self
-            .levels
-            .iter()
-            .map(|l| {
-                l.stamp.capacity() * std::mem::size_of::<u32>()
-                    + l.next_arc.capacity() * std::mem::size_of::<ArcId>()
-                    + l.admissible.capacity() * std::mem::size_of::<u64>()
-            })
-            .sum();
-        (levels
-            + self.removed.capacity() * std::mem::size_of::<bool>()
-            + (self.removed_bits.capacity() + self.cand.capacity() + self.vsigs.capacity())
-                * std::mem::size_of::<u64>()
-            + self.frames.capacity() * std::mem::size_of::<QFrame>()
-            + (self.stamp.capacity() + self.ext.capacity()) * std::mem::size_of::<u32>()
-            + (self.cur_arcs.capacity() + self.out_arcs.capacity() + self.qa.capacity())
+        (self.removed.capacity() * std::mem::size_of::<bool>()
+            + (self.stamp.capacity() + self.level_stamp.capacity() + self.ext.capacity())
+                * std::mem::size_of::<u32>()
+            + (self.level_next.capacity()
+                + self.cur_arcs.capacity()
+                + self.out_arcs.capacity()
+                + self.qa.capacity())
                 * std::mem::size_of::<ArcId>()
             + (self.queue.capacity()
                 + self.cur_vertices.capacity()
@@ -434,8 +322,9 @@ impl PathScratch {
                 * std::mem::size_of::<VertexId>()) as u64
     }
 
-    /// Grows the per-level cache vector through `depth` (recording the
-    /// growth in [`Self::alloc_events`]) and hands the level back.
+    /// Grows the per-level caches — `levels` and the slabs — through
+    /// `depth` (recording the growth in [`Self::alloc_events`]) and hands
+    /// the level back.
     ///
     /// Preallocation stops at the level-cache cap, so deep recursion can
     /// reach levels that do not exist yet. This is the **single**
@@ -449,6 +338,12 @@ impl PathScratch {
                 self.allocs += 1;
             }
             self.levels.resize_with(depth + 1, LevelScratch::default);
+            let slab = (depth + 1) * self.level_n;
+            if slab > self.level_stamp.capacity() {
+                self.allocs += 1;
+            }
+            self.level_stamp.resize(slab, 0);
+            self.level_next.resize(slab, ArcId(u32::MAX));
         }
         &mut self.levels[depth]
     }
@@ -525,22 +420,20 @@ impl<V: PathView> Engine<'_, '_, V> {
         let t = self.t;
         self.s.level_mut(depth);
         let s = &mut *self.s;
-        let n = s.removed.len();
+        let base = depth * s.level_n;
         let lvl = &mut s.levels[depth];
-        if lvl.stamp.len() != n {
-            steiner_graph::csr::grow(&mut lvl.stamp, n, 0u32, &mut s.allocs);
-            steiner_graph::csr::grow(&mut lvl.next_arc, n, ArcId(u32::MAX), &mut s.allocs);
-            lvl.epoch = 0;
-            lvl.valid = false;
-            lvl.packed_valid = false;
-        }
-        if !lvl.valid {
+        if lvl.valid {
+            self.stats.fstp_cache_hits += 1;
+        } else {
+            self.stats.fstp_cache_misses += 1;
+            let stamp = &mut s.level_stamp[base..base + s.level_n];
+            let next_arc = &mut s.level_next[base..base + s.level_n];
             lvl.epoch += 1;
             let ep = lvl.epoch;
             // Reverse BFS from t with s′ masked: r(v) ⇔ v reaches t
             // avoiding P.
             s.removed[s1.index()] = true;
-            lvl.stamp[t.index()] = ep;
+            stamp[t.index()] = ep;
             s.queue.clear();
             s.queue.push(t);
             let mut head = 0;
@@ -549,19 +442,16 @@ impl<V: PathView> Engine<'_, '_, V> {
                 head += 1;
                 for &(z, a) in d.in_adjacency(u) {
                     self.stats.work += 1;
-                    if Some(a) == e || s.removed[z.index()] || lvl.stamp[z.index()] == ep {
+                    if Some(a) == e || s.removed[z.index()] || stamp[z.index()] == ep {
                         continue;
                     }
-                    lvl.stamp[z.index()] = ep;
-                    lvl.next_arc[z.index()] = a;
+                    stamp[z.index()] = ep;
+                    next_arc[z.index()] = a;
                     s.queue.push(z);
                 }
             }
             s.removed[s1.index()] = false;
             lvl.valid = true;
-            // The BFS tree (`next_arc`) was rewritten: the packed cache,
-            // which shares it, no longer matches its recorded key.
-            lvl.packed_valid = false;
         }
         let ep = s.levels[depth].epoch;
         // Smallest admissible first arc.
@@ -571,7 +461,7 @@ impl<V: PathView> Engine<'_, '_, V> {
             self.stats.work += 1;
             if Some(a) == e
                 || self.s.removed[y.index()]
-                || self.s.levels[depth].stamp[y.index()] != ep
+                || self.s.level_stamp[base + y.index()] != ep
             {
                 continue;
             }
@@ -584,7 +474,7 @@ impl<V: PathView> Engine<'_, '_, V> {
             let mut len = 2;
             let mut cur = y;
             while cur != t {
-                let na = self.s.levels[depth].next_arc[cur.index()];
+                let na = self.s.level_next[base + cur.index()];
                 self.s.push_qa(na);
                 cur = d.head(na);
                 self.s.push_qv(cur);
@@ -610,21 +500,13 @@ impl<V: PathView> Engine<'_, '_, V> {
         self.s.qa[q.a_start + j]
     }
 
-    /// Writes `removed[v] = on`, keeping the packed mirror bitset and the
-    /// Zobrist mask signature in sync in packed mode (the reference
-    /// engine never reads either). Every engine mask write is a strict
-    /// toggle — prefixes mask distinct, currently unmasked vertices and
-    /// the sweeps restore them exactly once — so the XOR fold stays a
-    /// faithful set hash.
+    /// Writes `removed[v] = on`. Every engine mask write is a strict
+    /// toggle: prefixes mask distinct, currently unmasked vertices and
+    /// the sweeps restore them exactly once.
     #[inline]
     fn mask_removed(&mut self, v: VertexId, on: bool) {
-        let s = &mut *self.s;
-        debug_assert_ne!(s.removed[v.index()], on, "mask writes are toggles");
-        s.removed[v.index()] = on;
-        if self.options.packed_frontiers {
-            bit_assign(&mut s.removed_bits, v.index(), on);
-            s.sig ^= s.vsigs[v.index()];
-        }
+        debug_assert_ne!(self.s.removed[v.index()], on, "mask writes are toggles");
+        self.s.removed[v.index()] = on;
     }
 
     /// Lemma 11 sweep: pushes onto the `ext` arena the descending list of
@@ -764,161 +646,6 @@ impl<V: PathView> Engine<'_, '_, V> {
         self.mask_removed(v0, false);
     }
 
-    /// Settles the deferred vertex `w` — the banned arc's tail, held
-    /// out of `cand` during a packed sweep flood so the flood needs no
-    /// per-arc ban test. Because `w` was never a propagation source, no
-    /// other vertex's reached flag can depend on `w`, so the flood's
-    /// result is exactly "reaches `t` without going through `w`", and
-    /// `w` itself reaches `t` iff some non-banned out-arc leads to a
-    /// reached vertex (a simple `w`→`t` path visits `w` once, so the
-    /// banned arc — which leaves `w` — could only ever be its first
-    /// arc). Reached ⇒ leave `w` out of `cand` (reached ⇔ candidate
-    /// and removed bits both clear) and propagate from it, again with
-    /// no ban test; unreached ⇒ put `w` back into the candidate set.
-    fn settle_deferred(&mut self, w: VertexId, banned: ArcId, work: &mut u64) {
-        let mut reached = false;
-        for &(y, a) in self.d.out_adjacency(w) {
-            *work += 1;
-            if a != banned
-                && !bit_test(&self.s.cand, y.index())
-                && !bit_test(&self.s.removed_bits, y.index())
-            {
-                reached = true;
-                break;
-            }
-        }
-        if !reached {
-            bit_set(&mut self.s.cand, w.index());
-            return;
-        }
-        self.s.queue.clear();
-        self.s.queue.push(w);
-        while let Some(x) = self.s.queue.pop() {
-            for &(z, _) in self.d.in_adjacency(x) {
-                *work += 1;
-                if bit_take(&mut self.s.cand, z.index()) {
-                    self.s.queue.push(z);
-                }
-            }
-        }
-    }
-
-    /// Packed-mode Lemma 11 sweep — same transitions and results as
-    /// [`Self::extendible_indices`], probing the shared candidate
-    /// frontier `cand = ¬removed ∧ ¬reached` instead of a byte mask plus
-    /// an epoch stamp. Stamping a vertex and excluding it from further
-    /// probes are then one [`bit_take`]; a vertex is *reached* iff its
-    /// candidate and removed bits are both clear, which is what the
-    /// transition steps and the extendibility test check. The buffer is
-    /// seeded per frame in O(n/64) words from `removed_bits` (maintained
-    /// by [`Self::mask_removed`]) and is dead again on return, so the
-    /// BFS in [`Self::fstp_prepare_packed`] can reuse it at any depth.
-    fn extendible_indices_packed(&mut self, q: QFrame) {
-        let k = q.len;
-        if k < 3 {
-            return;
-        }
-        // Transient sweep masks touch only `removed_bits`: the sweep is
-        // the sole reader of the mask until it returns, every mask it
-        // sets is cleared again before then, and no cache-signature
-        // lookup happens in between — so the byte mirror and the Zobrist
-        // fold can be left untouched instead of updated ~2(k−2) times.
-        #[inline]
-        fn sweep_mask(bits: &mut [u64], v: VertexId, on: bool) {
-            debug_assert_ne!(bit_test(bits, v.index()), on, "sweep masks are toggles");
-            bit_assign(bits, v.index(), on);
-        }
-        // Mask v₁ … v_{k−2} (0-indexed 0..=k−3); v_{k−1} is the first tip.
-        for j in 0..=k - 3 {
-            let v = self.qv(q, j);
-            sweep_mask(&mut self.s.removed_bits, v, true);
-        }
-        let t = self.t;
-        {
-            let s = &mut *self.s;
-            bits_not(&mut s.cand, &s.removed_bits);
-            // t is reached from the start.
-            bit_clear(&mut s.cand, t.index());
-        }
-        // Initial reverse BFS from t in D_{k−1}, skipping b_{k−1}. Every
-        // flood in this sweep bans exactly one arc, and that arc's tail
-        // is the vertex under test — so instead of comparing every arc
-        // against the ban, the tail is held out of `cand` for the whole
-        // flood (no probe can take it) and settled afterwards by
-        // [`Self::settle_deferred`]. The flood bodies are then pure
-        // `bit_take` probes.
-        let mut banned = self.qa(q, k - 2);
-        let w0 = self.qv(q, k - 2);
-        bit_clear(&mut self.s.cand, w0.index());
-        let mut work = 0u64;
-        self.s.queue.clear();
-        self.s.queue.push(t);
-        let mut head = 0;
-        while head < self.s.queue.len() {
-            let u = self.s.queue[head];
-            head += 1;
-            for &(z, _) in self.d.in_adjacency(u) {
-                work += 1;
-                if bit_take(&mut self.s.cand, z.index()) {
-                    self.s.queue.push(z);
-                }
-            }
-        }
-        self.settle_deferred(w0, banned, &mut work);
-        let mut i = k - 1;
-        loop {
-            // r(v_i): reached ⇔ candidate and removed bits both clear.
-            let vi = self.qv(q, i - 1).index();
-            if !bit_test(&self.s.cand, vi) && !bit_test(&self.s.removed_bits, vi) {
-                self.s.push_ext(i as u32);
-            }
-            if i == 2 {
-                break;
-            }
-            // Transition D_i → D_{i−1}: unmask v_{i−1}, re-allow b_i, ban b_{i−1}.
-            let old_banned = banned;
-            banned = self.qa(q, i - 2);
-            let v_prev = self.qv(q, i - 2);
-            sweep_mask(&mut self.s.removed_bits, v_prev, false);
-            // v_{i−1} — the new banned arc's tail — stays out of `cand`
-            // until the flood settles (see the initial BFS above), so
-            // the propagation below needs no per-arc ban test.
-            // The worklist reuses the BFS queue's tail as its own stack:
-            // the initial sweep's queue contents are no longer needed.
-            self.s.queue.clear();
-            // (a) the re-allowed arc b_i = (v_i, v_{i+1}) may connect its tail.
-            let (bt, bh) = self.d.arc(old_banned);
-            if !bit_test(&self.s.cand, bh.index())
-                && !bit_test(&self.s.removed_bits, bh.index())
-                && bit_take(&mut self.s.cand, bt.index())
-            {
-                self.s.queue.push(bt);
-            }
-            // Propagate the new r-flags backwards over in-arcs.
-            while let Some(x) = self.s.queue.pop() {
-                for &(z, _) in self.d.in_adjacency(x) {
-                    work += 1;
-                    if bit_take(&mut self.s.cand, z.index()) {
-                        self.s.queue.push(z);
-                    }
-                }
-            }
-            // (b) folded into the settle: v_{i−1} reaches t iff a
-            // non-banned out-arc leads to a settled reached vertex.
-            self.settle_deferred(v_prev, banned, &mut work);
-            i -= 1;
-        }
-        self.stats.work += work;
-        // Only v₁ is still masked by this sweep (the loop unmasked the rest).
-        let v0 = self.qv(q, 0);
-        sweep_mask(&mut self.s.removed_bits, v0, false);
-        debug_assert!(
-            (0..self.s.removed.len())
-                .all(|v| self.s.removed[v] == bit_test(&self.s.removed_bits, v)),
-            "sweep restored the packed mask to the byte mirror"
-        );
-    }
-
     /// Extends the global path `P` by the prefix `Q_i` (vertices `v₂…v_i`),
     /// masking everything but the new tip `v_i`.
     fn push_prefix(&mut self, q: QFrame, i: usize) {
@@ -1030,194 +757,6 @@ impl<V: PathView> Engine<'_, '_, V> {
         }
         ControlFlow::Continue(())
     }
-
-    /// Packed-mode `F-STP` preparation: makes the level-`depth` reverse-
-    /// BFS cache valid for the key `(mask signature, banned arc e, s′,
-    /// t)`.
-    ///
-    /// Unlike the reference path, the cache is **not** invalidated per
-    /// `E-STP` activation: the key compares the Zobrist XOR-fold of the
-    /// removal mask (maintained by [`Self::mask_removed`]) plus the
-    /// banned arc and `s′`, so any activation — in this run or a later
-    /// run sharing the scratch — whose admissible graph is identical
-    /// reuses the BFS tree verbatim. `s′` sits in the key rather than
-    /// the signature because the BFS masks it only temporarily. The BFS
-    /// is deterministic in `(mask, e, t)`, so a key match reproduces
-    /// `next_arc` (and hence every reconstruction) bit for bit — the
-    /// byte-identical-stream argument.
-    fn fstp_prepare_packed(&mut self, s1: VertexId, e: Option<ArcId>, depth: usize) {
-        debug_assert!(!self.s.removed[s1.index()]);
-        let d = self.d;
-        let t = self.t;
-        self.s.level_mut(depth);
-        let s = &mut *self.s;
-        let n = s.removed.len();
-        let nw = bit_words(n);
-        let lvl = &mut s.levels[depth];
-        if lvl.next_arc.len() != n {
-            steiner_graph::csr::grow(&mut lvl.next_arc, n, ArcId(u32::MAX), &mut s.allocs);
-            lvl.valid = false;
-            lvl.packed_valid = false;
-        }
-        if lvl.admissible.len() != nw {
-            steiner_graph::csr::grow(&mut lvl.admissible, nw, 0u64, &mut s.allocs);
-            lvl.packed_valid = false;
-        }
-        let key_s1 = s1.index() as u32;
-        let key_t = t.index() as u32;
-        if lvl.packed_valid && lvl.key_sig == s.sig && lvl.key_s1 == key_s1 && lvl.key_t == key_t {
-            self.stats.fstp_cache_hits += 1;
-            return;
-        }
-        self.stats.fstp_cache_misses += 1;
-        // Reverse BFS from t over the candidate frontier `¬removed ∧
-        // ¬reached`: clearing s′ and t up front folds the "masked s′",
-        // "already reached", and "removed" exclusions into a single
-        // bit-take per arc. The banned arc needs no per-arc test at all:
-        // it is the arc the activation arrived on, so its tail is `s′`
-        // and every reverse probe along it dies on the cleared `s′` bit.
-        debug_assert!(
-            e.is_none_or(|a| d.tail(a) == s1),
-            "the activation's banned arc leaves s′"
-        );
-        bits_not(&mut s.cand, &s.removed_bits);
-        bit_clear(&mut s.cand, s1.index());
-        bit_clear(&mut s.cand, t.index());
-        s.queue.clear();
-        s.queue.push(t);
-        let mut head = 0;
-        let mut work = 0u64;
-        while head < s.queue.len() {
-            let u = s.queue[head];
-            head += 1;
-            for &(z, a) in d.in_adjacency(u) {
-                work += 1;
-                if !bit_take(&mut s.cand, z.index()) {
-                    continue;
-                }
-                lvl.next_arc[z.index()] = a;
-                s.queue.push(z);
-            }
-        }
-        self.stats.work += work;
-        // Admissible heads = reached ∧ ¬removed = ¬(cand ∨ removed) after
-        // the BFS consumed the reached bits — except s′, whose candidate
-        // bit was cleared as "masked", not "reached", so neither s′ nor a
-        // self-loop back to it may qualify as a first-arc head.
-        bits_not_or(&mut lvl.admissible, &s.cand, &s.removed_bits);
-        bit_clear(&mut lvl.admissible, s1.index());
-        lvl.key_sig = s.sig;
-        lvl.key_s1 = key_s1;
-        lvl.key_t = key_t;
-        lvl.packed_valid = true;
-        // `next_arc` was rewritten: the reference cache view is stale.
-        lvl.valid = false;
-    }
-
-    /// Packed-mode `E-STP`: the same recursion and emission order as
-    /// [`Self::e_stp`], with the whole sibling run materialized up
-    /// front. After the (possibly cached) reverse BFS, **all**
-    /// admissible continuations of this activation are reconstructed
-    /// back-to-back into the flat `qv`/`qa` arena in a single pass over
-    /// `out_adjacency(s′)` — the reference path's per-sibling resumed
-    /// scans and interleaved validity checks collapse into one
-    /// bitset-driven emission loop. This is sound because the sibling
-    /// set is fixed at activation time: every `push_prefix` a child
-    /// performs is undone by its `pop_prefix` before the next sibling,
-    /// so the lazily resumed reference scan sees exactly the admissible
-    /// set that existed when the activation began.
-    fn e_stp_packed(&mut self, e: Option<ArcId>, depth: u32) -> ControlFlow<()> {
-        let s1 = *self.s.cur_vertices.last().expect("P is nonempty");
-        let lvl = depth as usize;
-        self.stats.work += 1;
-        self.fstp_prepare_packed(s1, e, lvl);
-        // Flat child-run generation: one contiguous qv/qa run per
-        // activation instead of one reconstruction per sibling visit.
-        let frames_start = self.s.frames.len();
-        let qv_mark = self.s.qv.len();
-        let qa_mark = self.s.qa.len();
-        {
-            let d = self.d;
-            let t = self.t;
-            let s = &mut *self.s;
-            let level = &s.levels[lvl];
-            let banned = e.unwrap_or(ArcId(u32::MAX));
-            for (pos, &(y, a)) in d.out_adjacency(s1).iter().enumerate() {
-                self.stats.work += 1;
-                if a == banned || !bit_test(&level.admissible, y.index()) {
-                    continue;
-                }
-                // Reconstruct s′ → y → … → t along the reverse-BFS tree.
-                let v_start = s.qv.len();
-                let a_start = s.qa.len();
-                push_tracked(&mut s.qv, s1, &mut s.allocs);
-                push_tracked(&mut s.qv, y, &mut s.allocs);
-                push_tracked(&mut s.qa, a, &mut s.allocs);
-                let mut len = 2;
-                let mut cur = y;
-                while cur != t {
-                    let na = level.next_arc[cur.index()];
-                    push_tracked(&mut s.qa, na, &mut s.allocs);
-                    cur = d.head(na);
-                    push_tracked(&mut s.qv, cur, &mut s.allocs);
-                    len += 1;
-                }
-                push_tracked(
-                    &mut s.frames,
-                    QFrame {
-                        v_start,
-                        a_start,
-                        len,
-                        first_pos: pos,
-                    },
-                    &mut s.allocs,
-                );
-            }
-        }
-        let frames_end = self.s.frames.len();
-        let mut flow = ControlFlow::Continue(());
-        for fi in frames_start..frames_end {
-            let q = self.s.frames[fi];
-            self.stats.work += 1;
-            if depth.is_multiple_of(2) {
-                flow = self.emit(q);
-            }
-            if flow.is_continue() {
-                let ext_start = self.s.ext.len();
-                if self.options.incremental_extendibility {
-                    self.extendible_indices_packed(q);
-                } else {
-                    self.extendible_indices_naive(q);
-                }
-                let ext_end = self.s.ext.len();
-                for idx in ext_start..ext_end {
-                    let i = self.s.ext[idx] as usize;
-                    let banned_child = self.qa(q, i - 1); // (v_i, v_{i+1})
-                    self.push_prefix(q, i);
-                    let f = self.e_stp_packed(Some(banned_child), depth + 1);
-                    self.pop_prefix(q, i);
-                    if f.is_break() {
-                        flow = ControlFlow::Break(());
-                        break;
-                    }
-                }
-                self.s.ext.truncate(ext_start);
-                if flow.is_continue() && depth % 2 == 1 {
-                    flow = self.emit(q);
-                }
-            }
-            if flow.is_break() {
-                break;
-            }
-        }
-        // Release the whole sibling run at once (the batch is the LIFO
-        // arena frame in packed mode).
-        self.s.frames.truncate(frames_start);
-        self.s.qv.truncate(qv_mark);
-        self.s.qa.truncate(qa_mark);
-        flow?;
-        ControlFlow::Continue(())
-    }
 }
 
 /// Runs the Algorithm-1 engine over an arbitrary [`PathView`] with an
@@ -1252,43 +791,22 @@ pub fn enumerate_paths_view<V: PathView>(
         });
         return stats;
     }
-    let mut allocs = scratch.allocs;
-    steiner_graph::csr::grow(&mut scratch.stamp, n, 0u32, &mut allocs);
-    if options.packed_frontiers {
-        // Rebuild the packed mirror and the Zobrist signature of the
-        // caller-written mask; from here on both are maintained
-        // incrementally by the engine's mask writes, so later cache
-        // lookups cost one u64 compare instead of an O(n) scan.
-        steiner_graph::csr::grow(&mut scratch.removed_bits, bit_words(n), 0u64, &mut allocs);
-        steiner_graph::csr::grow(&mut scratch.cand, bit_words(n), 0u64, &mut allocs);
-        if scratch.vsigs.len() < n {
-            if scratch.vsigs.capacity() < n {
-                allocs += 1;
-            }
-            let start = scratch.vsigs.len();
-            scratch.vsigs.extend((start..n).map(vsig));
-        }
-        let mut sig = 0u64;
-        for (v, &r) in scratch.removed.iter().enumerate() {
-            if r {
-                bit_set(&mut scratch.removed_bits, v);
-                sig ^= scratch.vsigs[v];
-            }
-        }
-        scratch.sig = sig;
+    steiner_graph::csr::grow(&mut scratch.stamp, n, 0u32, &mut scratch.allocs);
+    if scratch.level_n != n {
+        // The level slabs are laid out for another vertex count: drop
+        // every level so each is re-laid out when the run first reaches
+        // it.
+        scratch.level_n = n;
+        scratch.levels.clear();
+        scratch.level_stamp.clear();
+        scratch.level_next.clear();
     }
-    scratch.allocs = allocs;
     scratch.epoch = 0;
     scratch.queue.clear();
     scratch.cur_vertices.clear();
     scratch.cur_vertices.push(s);
     scratch.cur_arcs.clear();
-    debug_assert!(
-        scratch.qv.is_empty()
-            && scratch.qa.is_empty()
-            && scratch.ext.is_empty()
-            && scratch.frames.is_empty()
-    );
+    debug_assert!(scratch.qv.is_empty() && scratch.qa.is_empty() && scratch.ext.is_empty());
     let mut engine = Engine {
         d: view,
         t,
@@ -1298,16 +816,11 @@ pub fn enumerate_paths_view<V: PathView>(
         stats,
         sink,
     };
-    let _ = if options.packed_frontiers {
-        engine.e_stp_packed(None, 0)
-    } else {
-        engine.e_stp(None, 0)
-    };
+    let _ = engine.e_stp(None, 0);
     let stats = engine.stats;
     scratch.qv.clear();
     scratch.qa.clear();
     scratch.ext.clear();
-    scratch.frames.clear();
     stats
 }
 
@@ -1543,9 +1056,9 @@ mod tests {
     fn warm_scratch_does_not_allocate() {
         let g = steiner_graph::generators::theta_chain(4, 3);
         let csr = CsrDigraph::doubled(&g);
-        let (n, m) = (csr.num_vertices(), csr.num_arcs());
+        let n = csr.num_vertices();
         let mut scratch = PathScratch::new();
-        scratch.preallocate(n, m);
+        scratch.preallocate(n);
         for round in 0..2 {
             scratch.begin(n);
             enumerate_paths_view(
@@ -1562,6 +1075,41 @@ mod tests {
                 0,
                 "round {round}: preallocated scratch must not grow"
             );
+        }
+    }
+
+    #[test]
+    fn warm_scratch_does_not_allocate_in_reference_mode() {
+        // The per-vertex reference engine on a grid, where paths branch
+        // at every vertex (the theta chain above branches only at block
+        // joints), under both Lemma 11 settings.
+        let g = steiner_graph::generators::grid(3, 4);
+        let csr = CsrDigraph::doubled(&g);
+        let n = csr.num_vertices();
+        let mut scratch = PathScratch::new();
+        scratch.preallocate(n);
+        for incremental_extendibility in [true, false] {
+            for round in 0..2 {
+                scratch.begin(n);
+                let stats = enumerate_paths_view(
+                    &csr,
+                    VertexId(0),
+                    VertexId(11),
+                    EnumerateOptions {
+                        incremental_extendibility,
+                    },
+                    false,
+                    &mut scratch,
+                    &mut |_| ControlFlow::Continue(()),
+                );
+                assert!(stats.emitted > 1, "the grid is path-rich");
+                assert_eq!(
+                    scratch.alloc_events(),
+                    0,
+                    "incremental {incremental_extendibility}, round {round}: \
+                     preallocated scratch must not grow"
+                );
+            }
         }
     }
 
@@ -1639,7 +1187,6 @@ mod tests {
                     None,
                     EnumerateOptions {
                         incremental_extendibility: true,
-                        ..EnumerateOptions::default()
                     },
                     sink,
                 );
@@ -1652,7 +1199,6 @@ mod tests {
                     None,
                     EnumerateOptions {
                         incremental_extendibility: false,
-                        ..EnumerateOptions::default()
                     },
                     sink,
                 );
@@ -1678,7 +1224,6 @@ mod tests {
                 None,
                 EnumerateOptions {
                     incremental_extendibility: incremental,
-                    ..EnumerateOptions::default()
                 },
                 &mut sink,
             )
@@ -1705,7 +1250,7 @@ mod tests {
         let g = steiner_graph::generators::path(n);
         let csr = CsrDigraph::doubled(&g);
         let mut scratch = PathScratch::new();
-        scratch.preallocate(csr.num_vertices(), csr.num_arcs());
+        scratch.preallocate(csr.num_vertices());
         scratch.begin(csr.num_vertices());
         let mut emitted = Vec::new();
         enumerate_paths_view(
@@ -1731,7 +1276,7 @@ mod tests {
         // report its growth through `alloc_events`.
         let g = steiner_graph::generators::ladder(10);
         let csr = CsrDigraph::doubled(&g);
-        let (n, m) = (csr.num_vertices(), csr.num_arcs());
+        let n = csr.num_vertices();
         let t = VertexId::new(n - 1);
         let run = |scratch: &mut PathScratch| {
             let mut paths = Vec::new();
@@ -1751,12 +1296,12 @@ mod tests {
             paths
         };
         let mut full = PathScratch::new();
-        full.preallocate(n, m);
+        full.preallocate(n);
         let reference = run(&mut full);
         assert!(reference.len() > 100, "the instance is path-rich");
 
         let mut capped = PathScratch::new();
-        capped.preallocate_capped(n, m, 2);
+        capped.preallocate_capped(n, 2);
         let got = run(&mut capped);
         assert_eq!(got, reference, "identical stream under a tiny cap");
         assert!(
@@ -1771,155 +1316,18 @@ mod tests {
     }
 
     #[test]
-    fn packed_off_matches_packed_on() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(0xb17_5e7);
-        for _ in 0..60 {
-            let n = 3 + rng.gen_range(0..5usize);
-            let m = rng.gen_range(0..=(n * (n - 1)).min(16));
-            let d = steiner_graph::generators::random_digraph(n, m, &mut rng);
-            let (s, t) = (VertexId(0), VertexId::new(n - 1));
-            let run = |packed: bool| {
-                collect_arc_paths(|sink| {
-                    enumerate_directed_st_paths_with(
-                        &d,
-                        s,
-                        t,
-                        None,
-                        EnumerateOptions {
-                            packed_frontiers: packed,
-                            ..EnumerateOptions::default()
-                        },
-                        sink,
-                    );
-                })
-            };
-            assert_eq!(run(true), run(false), "identical stream; digraph {d:?}");
-        }
-    }
-
-    #[test]
-    fn packed_cache_hits_across_runs_on_a_pinned_graph() {
-        // Re-running the same query on a warm scratch via
-        // `begin_same_graph` must replay at least the root-level reverse
-        // BFS from cache (the cross-branch reuse the Steiner pools see).
-        let g = steiner_graph::generators::theta_chain(4, 3);
-        let csr = CsrDigraph::doubled(&g);
-        let n = csr.num_vertices();
-        let mut scratch = PathScratch::new();
-        scratch.preallocate(n, csr.num_arcs());
-        let run = |scratch: &mut PathScratch, fresh: bool| {
-            if fresh {
-                scratch.begin(n);
-            } else {
-                scratch.begin_same_graph(n);
-            }
-            enumerate_paths_view(
-                &csr,
-                VertexId(0),
-                VertexId(4),
-                EnumerateOptions::default(),
-                false,
-                scratch,
-                &mut |_| ControlFlow::Continue(()),
-            )
-        };
-        let cold = run(&mut scratch, true);
-        assert!(cold.fstp_cache_misses > 0, "cold run computes BFS trees");
-        let warm = run(&mut scratch, false);
-        assert_eq!(cold.emitted, warm.emitted);
-        assert!(
-            warm.fstp_cache_hits >= 1,
-            "warm same-graph replay reuses cached BFS trees (hits {}, misses {})",
-            warm.fstp_cache_hits,
-            warm.fstp_cache_misses
-        );
-        assert!(warm.fstp_cache_misses < cold.fstp_cache_misses);
-    }
-
-    #[test]
-    fn begin_drops_cross_graph_packed_caches() {
-        // One scratch, two different graphs with identical vertex count,
-        // source, target, and (empty) mask: `begin` must not let the
-        // second run hit the first run's cached BFS trees.
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(0x5eed);
-        let mut scratch = PathScratch::new();
-        for _ in 0..40 {
-            let n = 4 + rng.gen_range(0..3usize);
-            let m = rng.gen_range(0..=(n * (n - 1)).min(14));
-            let d = steiner_graph::generators::random_digraph(n, m, &mut rng);
-            let csr = CsrDigraph::from_digraph(&d);
-            let (s, t) = (VertexId(0), VertexId::new(n - 1));
-            let shared = {
-                let mut got = Vec::new();
-                scratch.begin(n);
-                enumerate_paths_view(
-                    &csr,
-                    s,
-                    t,
-                    EnumerateOptions::default(),
-                    false,
-                    &mut scratch,
-                    &mut |p| {
-                        got.push(p.arcs.to_vec());
-                        ControlFlow::Continue(())
-                    },
-                );
-                got
-            };
-            let mut fresh_scratch = PathScratch::new();
-            let fresh = {
-                let mut got = Vec::new();
-                fresh_scratch.begin(n);
-                enumerate_paths_view(
-                    &csr,
-                    s,
-                    t,
-                    EnumerateOptions::default(),
-                    false,
-                    &mut fresh_scratch,
-                    &mut |p| {
-                        got.push(p.arcs.to_vec());
-                        ControlFlow::Continue(())
-                    },
-                );
-                got
-            };
-            assert_eq!(
-                shared, fresh,
-                "shared scratch must not leak stale BFS trees"
-            );
-        }
-    }
-
-    #[test]
-    fn warm_scratch_does_not_allocate_in_reference_mode() {
-        let g = steiner_graph::generators::theta_chain(4, 3);
-        let csr = CsrDigraph::doubled(&g);
-        let (n, m) = (csr.num_vertices(), csr.num_arcs());
-        let mut scratch = PathScratch::new();
-        scratch.preallocate(n, m);
-        for round in 0..2 {
-            scratch.begin(n);
-            enumerate_paths_view(
-                &csr,
-                VertexId(0),
-                VertexId(4),
-                EnumerateOptions {
-                    packed_frontiers: false,
-                    ..EnumerateOptions::default()
-                },
-                false,
-                &mut scratch,
-                &mut |_| ControlFlow::Continue(()),
-            );
-            assert_eq!(
-                scratch.alloc_events(),
-                0,
-                "round {round}: preallocated scratch must not grow"
-            );
-        }
+    fn fstp_counters_count_one_bfs_per_activation() {
+        // The diamond's two paths are both root siblings, and neither
+        // has an extendible prefix: one E-STP activation, so one reverse
+        // BFS (the miss). The two later F-STP calls — the second path
+        // and the exhausted scan — reuse it.
+        let d = DiGraph::from_arcs(4, &[(0, 1), (0, 2), (1, 3), (2, 3)]).unwrap();
+        let stats = enumerate_directed_st_paths(&d, VertexId(0), VertexId(3), None, &mut |_| {
+            ControlFlow::Continue(())
+        });
+        assert_eq!(stats.emitted, 2);
+        assert_eq!(stats.fstp_cache_misses, 1, "one BFS run");
+        assert_eq!(stats.fstp_cache_hits, 2, "siblings reuse the BFS");
     }
 
     #[test]

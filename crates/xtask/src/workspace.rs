@@ -33,20 +33,7 @@ pub const HOT: &[(&str, &[&str])] = &[
     ("crates/graph/src/spanning.rs", &["carry_over"]),
     (
         "crates/graph/src/csr.rs",
-        &[
-            "apply_delta",
-            "apply_delta_doubled",
-            "bit_test",
-            "bit_set",
-            "bit_clear",
-            "bit_assign",
-            "bit_take",
-            "bits_clear",
-            "bits_and_not",
-            "bits_not",
-            "bits_not_or",
-            "mix64",
-        ],
+        &["apply_delta", "apply_delta_doubled", "bit_set", "bit_clear"],
     ),
     (
         "crates/core/src/improved.rs",
@@ -88,10 +75,6 @@ pub const HOT: &[(&str, &[&str])] = &[
             "qa",
             "level_mut",
             "mask_removed",
-            "fstp_prepare_packed",
-            "e_stp_packed",
-            "extendible_indices_packed",
-            "settle_deferred",
         ],
     ),
 ];

@@ -260,3 +260,29 @@ fn dropping_the_iterator_stops_the_worker() {
     assert!(iter.next().is_some());
     drop(iter); // must not hang
 }
+
+/// The F-STP counters reach the solver's stats: on a theta instance
+/// (`0 ═ 1` parallel pair, then the width-2 block `1–{2,4}–3`) the
+/// block's two `1`–`3` paths are siblings of one `E-STP` activation, so
+/// the second `F-STP` call is served by the activation's reverse BFS.
+#[test]
+fn theta_instance_reports_cache_hits() {
+    let g = UndirectedGraph::from_edges(5, &[(0, 1), (0, 1), (1, 2), (2, 3), (1, 4), (4, 3)])
+        .expect("valid edge list");
+    let w = [VertexId(0), VertexId(1), VertexId(3)];
+    let (run, stats) = Enumeration::new(SteinerTree::new(&g, &w)).with_stats();
+    run.run().expect("valid instance");
+    let stats = stats.get();
+    assert!(stats.solutions > 0);
+    assert!(
+        stats.fstp_cache_hits >= 1,
+        "sibling F-STP calls reuse the activation's BFS (hits {}, misses {})",
+        stats.fstp_cache_hits,
+        stats.fstp_cache_misses
+    );
+    assert!(
+        stats.fstp_cache_misses >= 1,
+        "every activation runs one BFS"
+    );
+    assert!(stats.path_gen_work > 0, "path work is attributed");
+}

@@ -4,7 +4,9 @@
 
 use minimal_steiner::graph::{generators, VertexId};
 use minimal_steiner::paths::streaming::Enumeration as StreamingEnumeration;
-use minimal_steiner::{Enumeration, SteinerTree};
+use minimal_steiner::steiner::verify;
+use minimal_steiner::{Enumeration, SteinerForest, SteinerTree};
+use std::collections::BTreeSet;
 use std::ops::ControlFlow;
 
 /// Long path graphs exercise Θ(n) recursion depth in every enumerator.
@@ -58,6 +60,41 @@ fn theta_chain_full_output() {
     assert_eq!(stats.solutions, 4u64.pow(8));
     assert_eq!(stats.deficient_internal_nodes, 0);
     assert!(stats.internal_nodes <= stats.leaf_nodes);
+}
+
+/// Deep backtracking: a theta chain drives the path enumerator's `E-STP`
+/// recursion `blocks` levels deep with `width`-way branching at every
+/// level, so every per-level reverse-BFS cache is overwritten and
+/// revalidated many times under a deep prefix trail. Tree and forest
+/// must both deliver exactly the 3^6 = 729 block-by-block path choices,
+/// each distinct and each a minimal solution per the `verify` oracles.
+#[test]
+fn theta_chain_deep_backtrack_tree_and_forest() {
+    let g = generators::theta_chain(6, 3);
+    let w = [VertexId(0), VertexId(6)];
+    let mut trees = BTreeSet::new();
+    Enumeration::new(SteinerTree::new(&g, &w))
+        .for_each(|t| {
+            assert!(verify::is_minimal_steiner_tree(&g, &w, t), "tree {t:?}");
+            assert!(trees.insert(t.to_vec()), "duplicate tree {t:?}");
+            ControlFlow::Continue(())
+        })
+        .expect("valid instance");
+    assert_eq!(trees.len(), 3usize.pow(6));
+
+    let sets = vec![w.to_vec()];
+    let mut forests = BTreeSet::new();
+    Enumeration::new(SteinerForest::new(&g, &sets))
+        .for_each(|f| {
+            assert!(
+                verify::is_minimal_steiner_forest(&g, &sets, f),
+                "forest {f:?}"
+            );
+            assert!(forests.insert(f.to_vec()), "duplicate forest {f:?}");
+            ControlFlow::Continue(())
+        })
+        .expect("valid instance");
+    assert_eq!(forests.len(), 3usize.pow(6));
 }
 
 /// Moderate grid, many terminals: tens of thousands of solutions with the
