@@ -336,24 +336,19 @@ fn st_rows(rows: &mut Vec<Row>) {
                 path_gen_fraction: None,
             });
         }
-        // Sharded A/B pair: root-only child distribution vs second-level
-        // subtree stealing. On a multi-core host the stealing row should
-        // close the skew gap; on a 1-CPU builder both rows measure pure
-        // coordination overhead (BENCH_core.json carries
-        // `host_logical_cpus` so readers can tell which regime applies).
-        for (label, stealing) in [
-            ("improved, sharded x4 (root-only)", false),
-            ("improved, sharded x4 (stealing)", true),
-        ] {
-            let run = Enumeration::new(SteinerTree::new(&inst.graph, &inst.terminals))
-                .with_threads(4)
-                .with_stealing(stealing);
+        // Sharded run (root split plus subtree stealing). On a 1-CPU
+        // builder the row measures pure coordination overhead
+        // (BENCH_core.json carries `host_logical_cpus` so readers can
+        // tell which regime applies).
+        {
+            let run =
+                Enumeration::new(SteinerTree::new(&inst.graph, &inst.terminals)).with_threads(4);
             let delays = record_delays(CAP, |emit| {
                 run.for_each(|_| flow(emit())).expect("valid instance");
             });
             rows.push(Row {
                 problem: "Steiner Tree (§4)".into(),
-                algorithm: label.into(),
+                algorithm: "improved, sharded x4 (stealing)".into(),
                 claimed: "O(n+m) amortized".into(),
                 instance: inst.name.clone(),
                 n: inst.graph.num_vertices(),

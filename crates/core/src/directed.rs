@@ -62,7 +62,6 @@ pub struct DirectedSteinerTree<'g> {
     terminals: Vec<VertexId>,
     stats: EnumStats,
     search: Option<DirectedSearch>,
-    level_cache_cap: Option<usize>,
     incremental: bool,
 }
 
@@ -102,8 +101,6 @@ struct DirectedSearch {
     /// One path-enumeration scratch per branch depth.
     pool: Vec<DirBranchScratch>,
     depth: usize,
-    /// Per-level BFS cache preallocation cap for pool growth.
-    level_cache_cap: usize,
     extra_allocs: u64,
     baseline_allocs: u64,
 }
@@ -117,8 +114,8 @@ struct DirBranchScratch {
 }
 
 impl DirBranchScratch {
-    fn preallocate(&mut self, n: usize, m: usize, level_cache_cap: usize) {
-        self.path.preallocate_capped(n + 2, level_cache_cap);
+    fn preallocate(&mut self, n: usize, m: usize) {
+        self.path.preallocate(n + 2);
         if self.boundary.capacity() < m + 2 {
             self.boundary.reserve(m + 2 - self.boundary.capacity());
         }
@@ -355,7 +352,6 @@ impl<'g> DirectedSteinerTree<'g> {
             terminals: terminals.to_vec(),
             stats: EnumStats::default(),
             search: None,
-            level_cache_cap: None,
             incremental: true,
         }
     }
@@ -372,7 +368,6 @@ impl<'g> DirectedSteinerTree<'g> {
             terminals: terminals.to_vec(),
             stats: EnumStats::default(),
             search: None,
-            level_cache_cap: None,
             incremental: true,
         }
     }
@@ -386,7 +381,6 @@ impl<'g> DirectedSteinerTree<'g> {
             terminals: self.terminals,
             stats: self.stats,
             search: self.search,
-            level_cache_cap: self.level_cache_cap,
             incremental: self.incremental,
         }
     }
@@ -532,13 +526,8 @@ impl MinimalSteinerProblem for DirectedSteinerTree<'_> {
             terminals: self.terminals.clone(),
             stats: EnumStats::default(),
             search: None,
-            level_cache_cap: self.level_cache_cap,
             incremental: self.incremental,
         })
-    }
-
-    fn set_level_cache_cap(&mut self, cap: usize) {
-        self.level_cache_cap = Some(cap.max(1));
     }
 
     fn set_incremental(&mut self, on: bool) {
@@ -630,13 +619,10 @@ impl MinimalSteinerProblem for DirectedSteinerTree<'_> {
         con.preallocate(n, m);
         let mut ana = AnalyzeScratch::default();
         ana.preallocate(n, m);
-        let level_cache_cap = self
-            .level_cache_cap
-            .unwrap_or(steiner_paths::enumerate::DEFAULT_LEVEL_CACHE_CAP);
         let mut pool = Vec::with_capacity(terminals.len() + 1);
         for _ in 0..terminals.len() + 1 {
             let mut bs = DirBranchScratch::default();
-            bs.preallocate(n, m, level_cache_cap);
+            bs.preallocate(n, m);
             pool.push(bs);
         }
         let mut tree_vertices = Vec::with_capacity(n + 1);
@@ -655,7 +641,6 @@ impl MinimalSteinerProblem for DirectedSteinerTree<'_> {
             frames,
             pool,
             depth: 0,
-            level_cache_cap,
             extra_allocs: 0,
             baseline_allocs: 0,
         };
@@ -835,11 +820,7 @@ impl MinimalSteinerProblem for DirectedSteinerTree<'_> {
             if search.pool.len() <= depth {
                 search.extra_allocs += 1;
                 let mut fresh = DirBranchScratch::default();
-                fresh.preallocate(
-                    search.csr.num_vertices(),
-                    search.csr.num_arcs(),
-                    search.level_cache_cap,
-                );
+                fresh.preallocate(search.csr.num_vertices(), search.csr.num_arcs());
                 search.pool.push(fresh);
             }
             search.depth = depth + 1;

@@ -70,7 +70,6 @@ pub struct SteinerForest<'g> {
     sets: Vec<Vec<VertexId>>,
     stats: EnumStats,
     search: Option<ForestSearch>,
-    level_cache_cap: Option<usize>,
     incremental: bool,
 }
 
@@ -125,8 +124,6 @@ struct ForestSearch {
     /// Per-branch-depth contraction + path-enumeration scratch.
     pool: Vec<ForestDepthScratch>,
     depth: usize,
-    /// Per-level BFS cache preallocation cap for pool growth.
-    level_cache_cap: usize,
     extra_allocs: u64,
     baseline_allocs: u64,
 }
@@ -149,7 +146,7 @@ struct ForestDepthScratch {
 }
 
 impl ForestDepthScratch {
-    fn preallocate(&mut self, n: usize, m: usize, level_cache_cap: usize) {
+    fn preallocate(&mut self, n: usize, m: usize) {
         if self.endpoints_buf.capacity() < m {
             self.endpoints_buf
                 .reserve(m - self.endpoints_buf.capacity());
@@ -160,7 +157,7 @@ impl ForestDepthScratch {
         grow(&mut self.vertex_map, n, VertexId(0), &mut self.allocs);
         self.cg.preallocate(n, m);
         self.doubled.preallocate(n, 2 * m);
-        self.path.preallocate_capped(n + 2, level_cache_cap);
+        self.path.preallocate(n + 2);
         if self.edges.capacity() < n + 1 {
             self.edges.reserve(n + 1 - self.edges.capacity());
         }
@@ -372,15 +369,11 @@ impl ForestSearch {
 
     /// Grows the per-depth pool on demand (the recursion outran the
     /// preallocation).
-    fn ensure_depth(&mut self, depth: usize, level_cache_cap: usize) {
+    fn ensure_depth(&mut self, depth: usize) {
         if self.pool.len() <= depth {
             self.extra_allocs += 1;
             let mut fresh = ForestDepthScratch::default();
-            fresh.preallocate(
-                self.gcsr.num_vertices(),
-                self.gcsr.num_edges(),
-                level_cache_cap,
-            );
+            fresh.preallocate(self.gcsr.num_vertices(), self.gcsr.num_edges());
             self.pool.push(fresh);
         }
     }
@@ -428,7 +421,6 @@ impl<'g> SteinerForest<'g> {
             sets: sets.to_vec(),
             stats: EnumStats::default(),
             search: None,
-            level_cache_cap: None,
             incremental: true,
         }
     }
@@ -440,7 +432,6 @@ impl<'g> SteinerForest<'g> {
             sets: sets.to_vec(),
             stats: EnumStats::default(),
             search: None,
-            level_cache_cap: None,
             incremental: true,
         }
     }
@@ -453,7 +444,6 @@ impl<'g> SteinerForest<'g> {
             sets: self.sets,
             stats: self.stats,
             search: self.search,
-            level_cache_cap: self.level_cache_cap,
             incremental: self.incremental,
         }
     }
@@ -641,13 +631,8 @@ impl MinimalSteinerProblem for SteinerForest<'_> {
             sets: self.sets.clone(),
             stats: EnumStats::default(),
             search: None,
-            level_cache_cap: self.level_cache_cap,
             incremental: self.incremental,
         })
-    }
-
-    fn set_level_cache_cap(&mut self, cap: usize) {
-        self.level_cache_cap = Some(cap.max(1));
     }
 
     fn set_incremental(&mut self, on: bool) {
@@ -731,13 +716,10 @@ impl MinimalSteinerProblem for SteinerForest<'_> {
         frames.preallocate(pairs.len() + 2);
         let mut uc = UniqueCompletionScratch::default();
         uc.preallocate(n, m, &pairs);
-        let level_cache_cap = self
-            .level_cache_cap
-            .unwrap_or(steiner_paths::enumerate::DEFAULT_LEVEL_CACHE_CAP);
         let mut pool = Vec::with_capacity(pairs.len() + 1);
         for _ in 0..pairs.len() + 1 {
             let mut ds = ForestDepthScratch::default();
-            ds.preallocate(n, m, level_cache_cap);
+            ds.preallocate(n, m);
             pool.push(ds);
         }
         let mut search = ForestSearch {
@@ -757,7 +739,6 @@ impl MinimalSteinerProblem for SteinerForest<'_> {
             uc,
             pool,
             depth: 0,
-            level_cache_cap,
             extra_allocs: 0,
             baseline_allocs: 0,
         };
@@ -792,8 +773,7 @@ impl MinimalSteinerProblem for SteinerForest<'_> {
         }
         let n = search.gcsr.num_vertices();
         let depth = search.depth;
-        let level_cache_cap = search.level_cache_cap;
-        search.ensure_depth(depth, level_cache_cap);
+        search.ensure_depth(depth);
         if incremental {
             // Fully incremental classification: F-connectivity comes from
             // the rollback union–find and Lemma 24's G″ = G/E(F)/B labels

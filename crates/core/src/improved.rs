@@ -64,7 +64,6 @@ pub struct SteinerTree<'g> {
     terminals: Vec<VertexId>,
     stats: EnumStats,
     search: Option<TreeSearch>,
-    level_cache_cap: Option<usize>,
     incremental: bool,
 }
 
@@ -118,8 +117,6 @@ struct TreeSearch {
     pool: Vec<BranchScratch>,
     /// Current branch nesting depth (indexes `pool`).
     depth: usize,
-    /// Per-level BFS cache preallocation cap for pool growth.
-    level_cache_cap: usize,
     /// Growth events outside the component scratches (pool growth).
     extra_allocs: u64,
     /// Scratch-allocation baseline at the end of `prepare()`.
@@ -138,8 +135,8 @@ pub(crate) struct BranchScratch {
 }
 
 impl BranchScratch {
-    pub(crate) fn preallocate(&mut self, n: usize, m: usize, level_cache_cap: usize) {
-        self.path.preallocate_capped(n + 2, level_cache_cap);
+    pub(crate) fn preallocate(&mut self, n: usize, m: usize) {
+        self.path.preallocate(n + 2);
         if self.boundary.capacity() < 2 * m + 2 {
             self.boundary.reserve(2 * m + 2 - self.boundary.capacity());
         }
@@ -226,7 +223,6 @@ impl<'g> SteinerTree<'g> {
             terminals: terminals.to_vec(),
             stats: EnumStats::default(),
             search: None,
-            level_cache_cap: None,
             incremental: true,
         }
     }
@@ -238,7 +234,6 @@ impl<'g> SteinerTree<'g> {
             terminals: terminals.to_vec(),
             stats: EnumStats::default(),
             search: None,
-            level_cache_cap: None,
             incremental: true,
         }
     }
@@ -251,7 +246,6 @@ impl<'g> SteinerTree<'g> {
             terminals: self.terminals,
             stats: self.stats,
             search: self.search,
-            level_cache_cap: self.level_cache_cap,
             incremental: self.incremental,
         }
     }
@@ -281,13 +275,8 @@ impl MinimalSteinerProblem for SteinerTree<'_> {
             terminals: self.terminals.clone(),
             stats: EnumStats::default(),
             search: None,
-            level_cache_cap: self.level_cache_cap,
             incremental: self.incremental,
         })
-    }
-
-    fn set_level_cache_cap(&mut self, cap: usize) {
-        self.level_cache_cap = Some(cap.max(1));
     }
 
     fn set_incremental(&mut self, on: bool) {
@@ -353,13 +342,10 @@ impl MinimalSteinerProblem for SteinerTree<'_> {
         span.finish_skeleton();
         let mut frames = FrameLog::new();
         frames.preallocate(self.terminals.len() + 2);
-        let level_cache_cap = self
-            .level_cache_cap
-            .unwrap_or(steiner_paths::enumerate::DEFAULT_LEVEL_CACHE_CAP);
         let mut pool = Vec::with_capacity(self.terminals.len() + 1);
         for _ in 0..self.terminals.len() + 1 {
             let mut bs = BranchScratch::default();
-            bs.preallocate(n, m, level_cache_cap);
+            bs.preallocate(n, m);
             pool.push(bs);
         }
         let mut search = TreeSearch {
@@ -376,7 +362,6 @@ impl MinimalSteinerProblem for SteinerTree<'_> {
             beyond,
             pool,
             depth: 0,
-            level_cache_cap,
             extra_allocs: 0,
             baseline_allocs: 0,
         };
@@ -591,11 +576,7 @@ impl MinimalSteinerProblem for SteinerTree<'_> {
             if search.pool.len() <= depth {
                 search.extra_allocs += 1;
                 let mut fresh = BranchScratch::default();
-                fresh.preallocate(
-                    search.csr.num_vertices(),
-                    search.csr.num_edges(),
-                    search.level_cache_cap,
-                );
+                fresh.preallocate(search.csr.num_vertices(), search.csr.num_edges());
                 search.pool.push(fresh);
             }
             search.depth = depth + 1;

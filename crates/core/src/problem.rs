@@ -434,18 +434,6 @@ pub trait MinimalSteinerProblem {
         let _ = (record, child);
         unreachable!("replay_subtree requires record_subtree support")
     }
-
-    /// Caps the number of per-level path-enumeration BFS caches the
-    /// problem preallocates in `prepare`
-    /// ([`Enumeration::with_level_cache_cap`](crate::solver::Enumeration::with_level_cache_cap)).
-    /// Levels beyond the cap are grown on demand (visible as
-    /// [`EnumStats::scratch_allocs`](crate::stats::EnumStats)), so a
-    /// small cap trades warm-up memory for growth events without
-    /// changing results. Problems without a path-enumerator scratch
-    /// ignore the hint.
-    fn set_level_cache_cap(&mut self, cap: usize) {
-        let _ = cap;
-    }
 }
 
 /// Shared structural validation for the members of one terminal list or

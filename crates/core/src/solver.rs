@@ -19,16 +19,14 @@
 //! pool of worker threads: the root node's children are split round-robin
 //! (child `i` goes to worker `i mod k`), every worker owns an independent
 //! problem copy ([`MinimalSteinerProblem::split_root`]) with its own
-//! scratch pools and statistics, and a deterministic merge
+//! scratch pools and statistics, and workers that drain their residue
+//! class early claim whole subtrees published at deeper branch nodes (see
+//! [`crate::steal`]). A deterministic merge
 //! ([`steiner_paths::streaming::ShardMerge`]) re-interleaves the
-//! per-worker streams so the delivered sequence is **identical to the
-//! sequential front-end**, including under limits, queues, and early
-//! termination. [`Enumeration::with_stealing`] adds a second level of
-//! parallelism on top: workers that drain their residue class early
-//! claim whole subtrees published at deeper branch nodes (see
-//! [`crate::steal`]), and the merge splices each stolen subtree's stream
-//! back in at its exact tree position, so the delivered order still
-//! matches the sequential engine byte for byte.
+//! per-worker streams and splices each stolen subtree's stream back in
+//! at its exact tree position, so the delivered sequence is **identical
+//! to the sequential front-end**, including under limits, queues, and
+//! early termination.
 //!
 //! ```
 //! use steiner_core::{Enumeration, SteinerTree};
@@ -42,7 +40,7 @@
 //! assert_eq!(trees.len(), 2);
 //! ```
 
-use crate::cache::{CachePressure, QueryKey, ResultCache};
+use crate::cache::{QueryKey, ResultCache};
 use crate::intern::{SolutionId, SolutionSet};
 use crate::problem::{
     MinimalSteinerProblem, NodeStep, Prepared, RootShard, SteinerError, SubtreeRecord,
@@ -225,7 +223,6 @@ pub struct Enumeration<P: MinimalSteinerProblem> {
     deadline: Option<Instant>,
     stats_handle: Option<StatsHandle>,
     threads: usize,
-    stealing: bool,
     steal_schedule: Option<StealSchedule>,
     interner: Option<SolutionSet<P::Item>>,
     cache: Option<ResultCache<P::Item>>,
@@ -242,7 +239,6 @@ impl<P: MinimalSteinerProblem> Enumeration<P> {
             deadline: None,
             stats_handle: None,
             threads: 1,
-            stealing: false,
             steal_schedule: None,
             interner: None,
             cache: None,
@@ -372,65 +368,55 @@ impl<P: MinimalSteinerProblem> Enumeration<P> {
     /// ([`MinimalSteinerProblem::split_root`]) with its own `prepare()`,
     /// scratch pools, and statistics; workers communicate only through
     /// bounded channels, so a worker ahead of the merge point blocks
-    /// instead of buffering unboundedly. The published stats are the
-    /// workers' counters [merged](EnumStats::merge), with `solutions` set
-    /// to the delivered count and `max_emission_gap` re-measured as the
-    /// delivery gap on the merged work clock.
+    /// instead of buffering unboundedly.
     ///
-    /// Sharding pays off when the subtrees under the root carry the bulk
-    /// of the work (the usual case: every worker re-generates the root's
-    /// children, which costs O(n + m) each, but only descends into its
-    /// own). `k ≤ 1`, or a problem whose `split_root` returns `None`,
-    /// falls back to the sequential engine.
+    /// **Work stealing.** Round-robin root splitting alone balances
+    /// poorly when the root has few children or one subtree dominates, so
+    /// a worker reaching a branch child while the shared
+    /// [`crate::steal`] pool is hungry *publishes* the child as a
+    /// replayable checkpoint instead of descending; an idle worker (or
+    /// the merge point itself) claims and executes it, and the merge
+    /// splices the subtree's stream back in at its exact position. The
+    /// delivered stream stays **byte-identical to the sequential engine**
+    /// regardless of which worker executed which subtree (asserted across
+    /// every front-end in `tests/stealing.rs`). Accepted steals and
+    /// refused offers are reported in [`EnumStats::subtrees_stolen`] /
+    /// [`EnumStats::steal_failures`]. A problem that cannot checkpoint
+    /// subtrees ([`MinimalSteinerProblem::record_subtree`] returns
+    /// `None`) still shards: every worker generates the root's children
+    /// itself and no subtree migrates.
+    ///
+    /// The published stats are the workers' and the coordinator's
+    /// counters [merged](EnumStats::merge), with `solutions` set to the
+    /// delivered count and `max_emission_gap` re-measured as the delivery
+    /// gap on the merged work clock.
+    ///
+    /// `k ≤ 1`, or a problem whose `split_root` returns `None`, falls
+    /// back to the sequential engine.
     pub fn with_threads(mut self, k: usize) -> Self {
         self.threads = k.max(1);
         self
     }
 
-    /// **Second-level work stealing** for [`Self::with_threads`] runs.
-    ///
-    /// Root-only sharding load-balances poorly when the root has few
-    /// children or one subtree dominates. With stealing on, a worker
-    /// reaching a branch child while the shared [`crate::steal`] pool is
-    /// hungry *publishes* the child as a replayable checkpoint instead
-    /// of descending; an idle worker (or the merge point itself) claims
-    /// and executes it, and the merge splices the subtree's stream back
-    /// in at its exact position — the delivered stream stays
-    /// **byte-identical to the sequential engine** regardless of which
-    /// worker executed which subtree (asserted across every front-end in
-    /// `tests/stealing.rs`).
-    ///
-    /// Accepted steals and refused offers are reported in
-    /// [`EnumStats::subtrees_stolen`] / [`EnumStats::steal_failures`].
-    /// No effect without `with_threads(k ≥ 2)`, and problems that do not
-    /// support subtree checkpoints
-    /// ([`MinimalSteinerProblem::record_subtree`]) silently fall back to
-    /// root-only sharding. Off by default here; the service layer turns
-    /// it on for pooled queries.
-    pub fn with_stealing(mut self, on: bool) -> Self {
-        self.stealing = on;
+    /// Does nothing: sharded runs always steal (see
+    /// [`Self::with_threads`]). Kept only because the repository
+    /// benchmark still calls it; it goes with the next change to the
+    /// benchmark.
+    #[doc(hidden)]
+    pub fn with_stealing(self, _on: bool) -> Self {
         self
     }
 
     /// **Scripted stealing** (test instrument): replaces the adaptive
-    /// spawn policy with a deterministic [`StealSchedule`], so steal
-    /// interleavings replay exactly — even on a single-core CI machine.
-    /// Implies [`Self::with_stealing`]. Scripted runs widen the shard
-    /// channels to [`SCRIPTED_CHANNEL_CAPACITY`] so adversarial scripts
-    /// cannot wedge the pipeline; that sizing makes schedules unsuitable
-    /// as a production policy.
+    /// spawn policy of [`Self::with_threads`] runs with a deterministic
+    /// [`StealSchedule`], so steal interleavings replay exactly — even on
+    /// a single-core CI machine. Scripted runs widen the shard channels
+    /// to [`SCRIPTED_CHANNEL_CAPACITY`] so adversarial scripts cannot
+    /// wedge the pipeline; that sizing makes schedules unsuitable as a
+    /// production policy.
     pub fn with_steal_schedule(mut self, schedule: StealSchedule) -> Self {
-        self.stealing = true;
         self.steal_schedule = Some(schedule);
         self
-    }
-
-    fn steal_mode(&self) -> StealMode {
-        match (&self.steal_schedule, self.stealing) {
-            (Some(s), _) => StealMode::Scripted(s.clone()),
-            (None, true) => StealMode::Auto,
-            (None, false) => StealMode::Off,
-        }
     }
 
     /// Enables or disables **incremental classification** (default: on
@@ -464,17 +450,6 @@ impl<P: MinimalSteinerProblem> Enumeration<P> {
     /// ```
     pub fn with_incremental(mut self, on: bool) -> Self {
         self.problem.set_incremental(on);
-        self
-    }
-
-    /// Caps the per-level path-enumeration caches each worker
-    /// preallocates in `prepare` — the
-    /// [ROADMAP's level-cache memory knob](crate::problem::MinimalSteinerProblem::set_level_cache_cap)
-    /// for memory-constrained embeddings. Levels beyond the cap are grown
-    /// on demand (counted in [`EnumStats::scratch_allocs`]); results are
-    /// unaffected.
-    pub fn with_level_cache_cap(mut self, cap: usize) -> Self {
-        self.problem.set_level_cache_cap(cap.max(1));
         self
     }
 
@@ -572,40 +547,15 @@ impl<P: MinimalSteinerProblem> Enumeration<P> {
             return Ok(publish(EnumStats::for_cache_hit(delivered, cache.bytes())));
         }
         // Miss: run the engine, recording the delivered stream.
-        let mut ids: Vec<SolutionId> = Vec::new();
-        let mut delivered = 0u64;
-        let mut user_broke = false;
-        let run = {
-            let mut recording = |items: &[P::Item]| -> ControlFlow<()> {
-                ids.push(cache.intern(items));
-                delivered += 1;
-                let flow = interning(items);
-                if flow.is_break() {
-                    user_broke = true;
-                }
-                flow
-            };
-            self.run_plain(&mut recording)
-        };
+        let mut recorder = CacheRecorder::new(cache, qkey, limit);
+        let run = self.run_plain(&mut |items: &[P::Item]| recorder.record(items, &mut interning));
         match run {
             Ok(mut stats) => {
-                // A stream is complete — and therefore cacheable — when
-                // the sink did not abort it, or when the abort coincided
-                // with the configured limit (the limit is part of the
-                // key, so the capped stream is the full answer for it).
-                let pressure = if !user_broke || Some(delivered) == limit {
-                    cache.store_entry(qkey, ids)
-                } else {
-                    cache.release_ids(&ids)
-                };
-                stats.cache_misses = 1;
-                stats.evicted_entries += pressure.evicted;
-                stats.compactions += pressure.compactions;
-                stats.interned_bytes = cache.bytes();
+                recorder.settle(&mut stats);
                 Ok(publish(stats))
             }
             Err(e) => {
-                let _ = cache.release_ids(&ids);
+                recorder.abandon();
                 Err(e)
             }
         }
@@ -625,7 +575,7 @@ impl<P: MinimalSteinerProblem> Enumeration<P> {
     {
         if let Some(shards) = self.split_shards() {
             let queue = self.queue_config();
-            let steal = self.steal_mode();
+            let schedule = self.steal_schedule.take();
             // The original instance becomes the recorder: its root branch
             // runs once here, producing the shared child log the workers
             // replay instead of each re-generating every root child.
@@ -636,7 +586,7 @@ impl<P: MinimalSteinerProblem> Enumeration<P> {
                 &mut original,
                 shards,
                 root_log,
-                steal,
+                schedule,
                 queue,
                 self.limit,
                 self.deadline,
@@ -808,7 +758,7 @@ impl<P: MinimalSteinerProblem> Enumeration<P> {
                 // a real search hands the prepared original over to the
                 // coordinator thread, which records the shared root child
                 // log once before the workers prepare their own copies.
-                let steal = self.steal_mode();
+                let schedule = self.steal_schedule.take();
                 let mut original = self.problem;
                 let worker_error = Arc::clone(&error_slot);
                 let inner = streaming::Enumeration::spawn(move |send| {
@@ -818,7 +768,7 @@ impl<P: MinimalSteinerProblem> Enumeration<P> {
                         &mut original,
                         shards,
                         root_log,
-                        steal,
+                        schedule,
                         queue,
                         limit,
                         deadline,
@@ -872,7 +822,7 @@ impl<P: MinimalSteinerProblem> Enumeration<P> {
 
 /// A deadline expired on the iterator front-end's worker: record the
 /// typed error for [`Solutions::error`] and mark a cold `cached()`
-/// recording as aborted so [`CacheRecorder::finish`] rolls it back — a
+/// recording as aborted so [`CacheRecorder::settle`] rolls it back — a
 /// deadline'd stream is a prefix, never the complete cacheable answer.
 fn note_iterator_deadline<Item: Copy + Eq + Hash>(
     recorder: &mut Option<CacheRecorder<Item>>,
@@ -887,9 +837,8 @@ fn note_iterator_deadline<Item: Copy + Eq + Hash>(
         .get_or_insert(SteinerError::DeadlineExceeded);
 }
 
-/// Records a cold `cached()` run's delivered stream on the iterator
-/// front-end's worker thread; [`Self::finish`] stores complete streams
-/// and rolls aborted ones back, mirroring the push front-end's rule.
+/// Records a cold `cached()` run's delivered stream, on either front-end;
+/// [`Self::settle`] stores complete streams and rolls aborted ones back.
 struct CacheRecorder<Item: Copy + Eq + Hash> {
     cache: ResultCache<Item>,
     key: QueryKey,
@@ -911,20 +860,42 @@ impl<Item: Copy + Eq + Hash> CacheRecorder<Item> {
         }
     }
 
-    fn note(&mut self, items: &[Item]) {
+    /// Records one delivery and hands it to `forward`; a `Break` from
+    /// `forward` marks the recording aborted.
+    fn record(
+        &mut self,
+        items: &[Item],
+        forward: &mut dyn FnMut(&[Item]) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
         self.ids.push(self.cache.intern(items));
         self.delivered += 1;
+        let flow = forward(items);
+        if flow.is_break() {
+            self.broke = true;
+        }
+        flow
     }
 
-    /// Stores or rolls back the recording; returns the cache (for final
-    /// byte accounting) and the pressure the settlement caused.
-    fn finish(self) -> (ResultCache<Item>, CachePressure) {
+    /// Stores or rolls back the recording of a finished run and folds
+    /// the outcome into its stats. A stream is complete — and therefore
+    /// cacheable — when nothing aborted it, or when the abort coincided
+    /// with the configured limit (the limit is part of the key, so the
+    /// capped stream is the full answer for it).
+    fn settle(self, stats: &mut EnumStats) {
         let pressure = if !self.broke || Some(self.delivered) == self.limit {
             self.cache.store_entry(self.key, self.ids)
         } else {
             self.cache.release_ids(&self.ids)
         };
-        (self.cache, pressure)
+        stats.cache_misses = 1;
+        stats.evicted_entries += pressure.evicted;
+        stats.compactions += pressure.compactions;
+        stats.interned_bytes = stats.interned_bytes.max(self.cache.bytes());
+    }
+
+    /// Rolls back the recording of a run that failed.
+    fn abandon(self) {
+        let _ = self.cache.release_ids(&self.ids);
     }
 }
 
@@ -938,19 +909,16 @@ fn deliver_to_iterator<Item: Copy + Eq + Hash>(
     items: &[Item],
     send: &mut dyn FnMut(Vec<Item>) -> ControlFlow<()>,
 ) -> ControlFlow<()> {
-    if let Some(r) = recorder.as_mut() {
-        r.note(items);
-    }
-    if let Some(set) = interner {
-        set.intern(items);
-    }
-    let flow = send(items.to_vec());
-    if flow.is_break() {
-        if let Some(r) = recorder.as_mut() {
-            r.broke = true;
+    let mut forward = |items: &[Item]| {
+        if let Some(set) = interner {
+            set.intern(items);
         }
+        send(items.to_vec())
+    };
+    match recorder.as_mut() {
+        Some(r) => r.record(items, &mut forward),
+        None => forward(items),
     }
-    flow
 }
 
 /// End of an iterator-front-end run: settle the cache recording, fold the
@@ -965,11 +933,7 @@ fn finish_iterator_worker<Item: Copy + Eq + Hash>(
     handle: Option<&StatsHandle>,
 ) {
     if let Some(r) = recorder {
-        let (cache, pressure) = r.finish();
-        stats.cache_misses = 1;
-        stats.evicted_entries += pressure.evicted;
-        stats.compactions += pressure.compactions;
-        stats.interned_bytes = stats.interned_bytes.max(cache.bytes());
+        r.settle(&mut stats);
     } else if let Some(cache) = keyless_miss {
         stats.cache_misses = 1;
         stats.interned_bytes = stats.interned_bytes.max(cache.bytes());
@@ -1200,16 +1164,6 @@ impl<Item: Copy> SolutionSink<Item> for ShardSink<'_, Item> {
     }
 }
 
-/// How a sharded run participates in subtree work stealing.
-enum StealMode {
-    /// Root-only sharding (the default, and the A/B reference stream).
-    Off,
-    /// Adaptive stealing: publish subtrees while the pool is hungry.
-    Auto,
-    /// Deterministic scripted stealing (test instrument).
-    Scripted(StealSchedule),
-}
-
 /// Shard- and task-channel capacity under a scripted
 /// [`StealSchedule`]. Adaptive stealing keeps the production capacities
 /// (workers ahead of the merge must block, not buffer), and stays
@@ -1231,7 +1185,7 @@ const STEAL_PENDING_CAPACITY: usize = 1024;
 /// spawn-set determinism; test instances stay far below it.
 const SCRIPTED_PENDING_CAPACITY: usize = 4096;
 
-/// Everything a shard worker needs to participate in stealing.
+/// Everything a shard worker needs to take part in stealing.
 struct StealRuntime<'a, Item> {
     pool: &'a StealPool<Item, Batch<Item>>,
     /// `None` = adaptive policy.
@@ -1241,6 +1195,15 @@ struct StealRuntime<'a, Item> {
     worker: usize,
     /// Tick granularity for stolen-task sinks (same as the root sink's).
     tick_every: Option<u64>,
+}
+
+impl<Item> StealRuntime<'_, Item> {
+    /// Reports one subtree this worker retired to the scripted observer.
+    fn note_retired(&self) {
+        if let Some(observer) = self.observer {
+            observer.note(self.worker);
+        }
+    }
 }
 
 /// The per-worker stealing state threaded through [`recurse_stealing`]:
@@ -1318,6 +1281,29 @@ fn publish_subtree<P: MinimalSteinerProblem>(
     }
 }
 
+/// The steal point in front of branch child `q` (at `ctx.path`): when
+/// the policy asks for a spawn and the problem can checkpoint the child,
+/// publish it. `Some(Continue)` means the child was published,
+/// `Some(Break)` that the merge hung up; `None` means descend locally.
+fn try_spawn<P: MinimalSteinerProblem>(
+    q: &mut P,
+    ctx: &mut StealContext<'_, P::Item>,
+    sink: &mut ShardSink<'_, P::Item>,
+) -> Option<ControlFlow<()>> {
+    if !ctx.should_spawn() {
+        return None;
+    }
+    let Some(record) = q.record_subtree() else {
+        ctx.supported = false;
+        return None;
+    };
+    match publish_subtree(q, ctx, sink, record) {
+        SpawnOutcome::Spawned => Some(ControlFlow::Continue(())),
+        SpawnOutcome::Hangup => Some(ControlFlow::Break(())),
+        SpawnOutcome::Declined(_) => None,
+    }
+}
+
 /// [`recurse`] with steal points: before descending into a branch
 /// child, consult the steal policy and either publish the child as a
 /// pool task (leaving a `Spawned` marker at its stream position) or
@@ -1347,22 +1333,12 @@ fn recurse_stealing<P: MinimalSteinerProblem>(
         NodeStep::Branch(at) => {
             let mut next_child = 0u64;
             let (children, flow) = p.branch(at, &mut |q| {
-                let this = next_child;
+                ctx.path.push(next_child);
                 next_child += 1;
-                ctx.path.push(this);
-                let flow = (|| {
-                    if ctx.should_spawn() {
-                        match q.record_subtree() {
-                            Some(record) => match publish_subtree(q, ctx, sink, record) {
-                                SpawnOutcome::Spawned => return ControlFlow::Continue(()),
-                                SpawnOutcome::Hangup => return ControlFlow::Break(()),
-                                SpawnOutcome::Declined(_) => {}
-                            },
-                            None => ctx.supported = false,
-                        }
-                    }
-                    recurse_stealing(q, depth + 1, sink, scratch, ctx)
-                })();
+                let flow = match try_spawn(q, ctx, sink) {
+                    Some(flow) => flow,
+                    None => recurse_stealing(q, depth + 1, sink, scratch, ctx),
+                };
                 ctx.path.pop();
                 flow
             });
@@ -1435,9 +1411,7 @@ fn run_steal_loop<P: MinimalSteinerProblem>(
             rt.pool.shutdown();
             return;
         }
-        if let Some(observer) = rt.observer {
-            observer.note(rt.worker);
-        }
+        rt.note_retired();
     }
 }
 
@@ -1540,8 +1514,8 @@ fn send_child_done<Item>(sink: &ShardSink<'_, Item>, child: u64, work: u64) -> C
 /// reporting a `ChildDone` boundary after each owned child. Returns the
 /// worker's final statistics.
 ///
-/// With `steal`, owned children and their descendants pass through
-/// steal points ([`recurse_stealing`]), and after the root phase the
+/// Owned children and their descendants pass through steal points
+/// ([`try_spawn`], [`recurse_stealing`]), and after the root phase the
 /// worker becomes a pool executor ([`run_steal_loop`]). The worker's
 /// own `Done` is sent **before** the steal phase: the merge must be able
 /// to finish this worker's stream while the worker produces into task
@@ -1551,28 +1525,26 @@ fn run_shard_worker<P: MinimalSteinerProblem>(
     p: &mut P,
     shard: RootShard,
     root_log: Option<WorkerRootLog<P::Item>>,
-    steal: Option<&StealRuntime<'_, P::Item>>,
+    rt: &StealRuntime<'_, P::Item>,
     sink: &mut ShardSink<'_, P::Item>,
 ) -> Result<EnumStats, SteinerError> {
     let prepared = match p.prepare() {
         Ok(prepared) => prepared,
         Err(e) => {
             let _ = sink.tx.send(ShardMsg::Failed);
-            if let Some(rt) = steal {
-                // This root phase is over before it began; without the
-                // hand-off the pool would wait for it forever.
-                rt.pool.root_done();
-            }
+            // This root phase is over before it began; without the
+            // hand-off the pool would wait for it forever.
+            rt.pool.root_done();
             return Err(e);
         }
     };
-    let mut ctx = steal.map(|rt| StealContext {
+    let mut ctx = StealContext {
         pool: rt.pool,
         schedule: rt.schedule,
         path: Vec::new(),
         chances: 0,
         supported: true,
-    });
+    };
     let (n, _) = p.instance_size();
     let mut scratch: Vec<P::Item> = Vec::with_capacity(n + 1);
     let mut children_total = 0u64;
@@ -1599,57 +1571,27 @@ fn run_shard_worker<P: MinimalSteinerProblem>(
             for (this, record) in log.owned {
                 debug_assert!(shard.owns(this), "the coordinator partitions by shard");
                 sink.child = this;
+                ctx.path.push(this);
                 // Depth-1 steal point: the child's checkpoint is already
                 // in hand (it *is* the log entry), so a hungry pool can
-                // take the whole root child without a replay — exactly
-                // the skewed-root case root-only sharding loses on.
-                let record = match ctx.as_mut() {
-                    Some(ctx) => {
-                        ctx.path.push(this);
-                        let spawn = if ctx.should_spawn() {
-                            publish_subtree(p, ctx, sink, record)
-                        } else {
-                            SpawnOutcome::Declined(record)
-                        };
-                        ctx.path.pop();
-                        match spawn {
-                            SpawnOutcome::Spawned => {
-                                if send_child_done(sink, this, p.stats().work).is_break() {
-                                    flow = ControlFlow::Break(());
-                                    break;
-                                }
-                                continue;
-                            }
-                            SpawnOutcome::Hangup => {
-                                flow = ControlFlow::Break(());
-                                break;
-                            }
-                            SpawnOutcome::Declined(record) => record,
-                        }
-                    }
-                    None => record,
+                // take the whole root child without a replay — the
+                // skewed-root case round-robin splitting alone loses on.
+                let spawn = if ctx.should_spawn() {
+                    publish_subtree(p, &mut ctx, sink, record)
+                } else {
+                    SpawnOutcome::Declined(record)
                 };
-                let f = p.replay_subtree(&record, &mut |q| {
-                    match ctx.as_mut() {
-                        Some(ctx) => {
-                            ctx.path.push(this);
-                            let f = recurse_stealing(q, 1, sink, &mut scratch, ctx);
-                            ctx.path.pop();
-                            f?;
-                        }
-                        None => recurse(q, 1, sink, &mut scratch)?,
-                    }
-                    sink.flush(q.stats().work)?;
-                    send_child_done(sink, this, q.stats().work)
-                });
+                let f = match spawn {
+                    SpawnOutcome::Spawned => send_child_done(sink, this, p.stats().work),
+                    SpawnOutcome::Hangup => ControlFlow::Break(()),
+                    SpawnOutcome::Declined(record) => p.replay_subtree(&record, &mut |q| {
+                        descend_owned_child(q, this, rt, &mut ctx, sink, &mut scratch)
+                    }),
+                };
+                ctx.path.pop();
                 if f.is_break() {
                     flow = ControlFlow::Break(());
                     break;
-                }
-                if let Some(rt) = steal {
-                    if let Some(observer) = rt.observer {
-                        observer.note(rt.worker);
-                    }
                 }
             }
             p.stats_mut().note_node(total, 0);
@@ -1678,7 +1620,6 @@ fn run_shard_worker<P: MinimalSteinerProblem>(
                 }
                 NodeStep::Branch(at) => {
                     let mut next_child = 0u64;
-                    let steal_rt = steal;
                     let (children, flow) = p.branch(at, &mut |q| {
                         let this = next_child;
                         next_child += 1;
@@ -1689,49 +1630,16 @@ fn run_shard_worker<P: MinimalSteinerProblem>(
                             return ControlFlow::Continue(());
                         }
                         sink.child = this;
-                        match ctx.as_mut() {
-                            Some(ctx) => {
-                                ctx.path.push(this);
-                                let f = (|| {
-                                    if ctx.should_spawn() {
-                                        match q.record_subtree() {
-                                            Some(record) => {
-                                                match publish_subtree(q, ctx, sink, record) {
-                                                    SpawnOutcome::Spawned => {
-                                                        return send_child_done(
-                                                            sink,
-                                                            this,
-                                                            q.stats().work,
-                                                        );
-                                                    }
-                                                    SpawnOutcome::Hangup => {
-                                                        return ControlFlow::Break(());
-                                                    }
-                                                    SpawnOutcome::Declined(_) => {}
-                                                }
-                                            }
-                                            None => ctx.supported = false,
-                                        }
-                                    }
-                                    recurse_stealing(q, 1, sink, &mut scratch, ctx)?;
-                                    sink.flush(q.stats().work)?;
-                                    send_child_done(sink, this, q.stats().work)?;
-                                    if let Some(rt) = steal_rt {
-                                        if let Some(observer) = rt.observer {
-                                            observer.note(rt.worker);
-                                        }
-                                    }
-                                    ControlFlow::Continue(())
-                                })();
-                                ctx.path.pop();
-                                f
-                            }
-                            None => {
-                                recurse(q, 1, sink, &mut scratch)?;
-                                sink.flush(q.stats().work)?;
+                        ctx.path.push(this);
+                        let f = match try_spawn(q, &mut ctx, sink) {
+                            Some(ControlFlow::Continue(())) => {
                                 send_child_done(sink, this, q.stats().work)
                             }
-                        }
+                            Some(hangup) => hangup,
+                            None => descend_owned_child(q, this, rt, &mut ctx, sink, &mut scratch),
+                        };
+                        ctx.path.pop();
+                        f
                     });
                     p.stats_mut().note_node(children, 0);
                     children_total = next_child;
@@ -1762,22 +1670,34 @@ fn run_shard_worker<P: MinimalSteinerProblem>(
     } else {
         flow
     };
-    if let Some(rt) = steal {
-        rt.pool.root_done();
-        match (&mut ctx, flow) {
-            (Some(ctx), ControlFlow::Continue(())) => {
-                run_steal_loop(p, rt, ctx, &mut scratch);
-            }
-            _ => {
-                // The merge hung up mid-root-phase: nothing will drain
-                // the pending task channels, so close the pool now.
-                rt.pool.shutdown();
-            }
-        }
+    rt.pool.root_done();
+    if flow.is_continue() {
+        run_steal_loop(p, rt, &mut ctx, &mut scratch);
+    } else {
+        // The merge hung up mid-root-phase: nothing will drain the
+        // pending task channels, so close the pool now.
+        rt.pool.shutdown();
     }
     p.seal_stats();
     p.stats_mut().note_end();
     Ok(*p.stats())
+}
+
+/// Descends locally into owned root child `this` (already applied to
+/// `q`) and closes its slot in the worker stream.
+fn descend_owned_child<P: MinimalSteinerProblem>(
+    q: &mut P,
+    this: u64,
+    rt: &StealRuntime<'_, P::Item>,
+    ctx: &mut StealContext<'_, P::Item>,
+    sink: &mut ShardSink<'_, P::Item>,
+    scratch: &mut Vec<P::Item>,
+) -> ControlFlow<()> {
+    recurse_stealing(q, 1, sink, scratch, ctx)?;
+    sink.flush(q.stats().work)?;
+    send_child_done(sink, this, q.stats().work)?;
+    rt.note_retired();
+    ControlFlow::Continue(())
 }
 
 /// What the merge point measured while delivering the merged stream.
@@ -1897,7 +1817,7 @@ fn run_inline_task<P: MinimalSteinerProblem>(
 fn run_merge<P: MinimalSteinerProblem>(
     mut merge: ShardMerge<Batch<P::Item>>,
     original: &mut P,
-    pool: Option<&StealPool<P::Item, Batch<P::Item>>>,
+    pool: &StealPool<P::Item, Batch<P::Item>>,
     queue: Option<QueueConfig>,
     limit: Option<u64>,
     deadline: Option<Instant>,
@@ -1975,7 +1895,7 @@ fn run_merge<P: MinimalSteinerProblem>(
                     }
                 }
                 MergeEvent::Subtree { task, rx } => {
-                    match pool.and_then(|pool| pool.claim_for_merge(task)) {
+                    match pool.claim_for_merge(task) {
                         Some(claimed) => {
                             let flow = run_inline_task(
                                 original,
@@ -1987,7 +1907,7 @@ fn run_merge<P: MinimalSteinerProblem>(
                                 &clock,
                                 &mut scratch,
                             );
-                            pool.expect("claimed from this pool").task_done();
+                            pool.task_done();
                             if flow.is_break() {
                                 break;
                             }
@@ -2026,13 +1946,11 @@ fn run_merge<P: MinimalSteinerProblem>(
 /// returns, but also on panic-unwind through the merge — so workers
 /// blocked in [`StealPool::take`] always wake and the thread scope can
 /// join.
-struct PoolShutdownGuard<'a, Item, M>(Option<&'a StealPool<Item, M>>);
+struct PoolShutdownGuard<'a, Item, M>(&'a StealPool<Item, M>);
 
 impl<Item, M> Drop for PoolShutdownGuard<'_, Item, M> {
     fn drop(&mut self) {
-        if let Some(pool) = self.0 {
-            pool.shutdown();
-        }
+        self.0.shutdown();
     }
 }
 
@@ -2042,15 +1960,15 @@ impl<Item, M> Drop for PoolShutdownGuard<'_, Item, M> {
 /// the limit/queue sink chain, so the delivered stream is identical.
 ///
 /// `original` is the coordinator's own prepared instance (the one that
-/// recorded `root_log`); under stealing it doubles as the executor for
-/// inline-claimed subtrees, and its statistics are folded into the
-/// merged totals.
+/// recorded `root_log`); it doubles as the executor for inline-claimed
+/// subtrees, and its statistics are folded into the merged totals.
+/// `schedule` replaces the adaptive steal policy with a script.
 #[allow(clippy::too_many_arguments)]
 fn run_sharded<P>(
     original: &mut P,
     shards: Vec<P>,
     root_log: Option<Vec<SubtreeRecord<P::Item>>>,
-    steal: StealMode,
+    schedule: Option<StealSchedule>,
     queue: Option<QueueConfig>,
     limit: Option<u64>,
     deadline: Option<Instant>,
@@ -2086,34 +2004,28 @@ where
     };
     let error: Mutex<Option<SteinerError>> = Mutex::new(None);
     let merged: Mutex<EnumStats> = Mutex::new(EnumStats::default());
-    let scripted = matches!(steal, StealMode::Scripted(_));
-    let (schedule, pool) = match &steal {
-        StealMode::Off => (None, None),
-        StealMode::Auto => (
-            None,
-            Some(StealPool::new(k as usize, STEAL_PENDING_CAPACITY, 8, false)),
-        ),
-        StealMode::Scripted(s) => (
-            Some(s),
-            Some(StealPool::new(
-                k as usize,
-                SCRIPTED_PENDING_CAPACITY,
-                SCRIPTED_CHANNEL_CAPACITY,
-                s.pins_claims(),
-            )),
-        ),
-    };
-    let observer = schedule.and_then(|s| s.observer());
     // Modest per-worker runway: capacity × BATCH_SOLUTIONS solutions may
     // be in flight per worker, which decouples the pool from the merge
     // point without letting workers burn far past an early termination.
     // Scripted steal runs instead buy determinism with buffer space (see
     // SCRIPTED_CHANNEL_CAPACITY).
-    let chan_cap = if scripted {
-        SCRIPTED_CHANNEL_CAPACITY
-    } else {
-        8
+    let (pool, chan_cap) = match &schedule {
+        None => (
+            StealPool::new(k as usize, STEAL_PENDING_CAPACITY, 8, false),
+            8,
+        ),
+        Some(s) => (
+            StealPool::new(
+                k as usize,
+                SCRIPTED_PENDING_CAPACITY,
+                SCRIPTED_CHANNEL_CAPACITY,
+                s.pins_claims(),
+            ),
+            SCRIPTED_CHANNEL_CAPACITY,
+        ),
     };
+    let schedule = schedule.as_ref();
+    let observer = schedule.and_then(|s| s.observer());
     let (txs, rxs) = streaming::shard_channels(k as usize, chan_cap);
     // Partition the recorded root children into per-worker residue
     // classes up front: worker i receives exactly the children it owns,
@@ -2136,7 +2048,7 @@ where
         for (i, (mut problem, tx)) in shards.into_iter().zip(txs).enumerate() {
             let error = &error;
             let merged = &merged;
-            let pool_ref = pool.as_ref();
+            let pool = &pool;
             let root_log = worker_logs[i].take();
             std::thread::Builder::new()
                 .name(format!("steiner-shard-{i}"))
@@ -2146,13 +2058,13 @@ where
                         index: i as u32,
                         modulus: k,
                     };
-                    let steal_rt = pool_ref.map(|pool| StealRuntime {
+                    let rt = StealRuntime {
                         pool,
                         schedule,
                         observer,
                         worker: i,
                         tick_every,
-                    });
+                    };
                     let mut shard_sink = ShardSink {
                         tx: &tx,
                         child: 0,
@@ -2163,13 +2075,7 @@ where
                         tick_every,
                         last_tick: 0,
                     };
-                    match run_shard_worker(
-                        &mut problem,
-                        shard,
-                        root_log,
-                        steal_rt.as_ref(),
-                        &mut shard_sink,
-                    ) {
+                    match run_shard_worker(&mut problem, shard, root_log, &rt, &mut shard_sink) {
                         Ok(stats) => merged
                             .lock()
                             .unwrap_or_else(|e| e.into_inner())
@@ -2187,11 +2093,11 @@ where
         // Close the pool however the merge exits (completion, early
         // break, or panic): workers blocked in `take` must wake or the
         // scope never joins.
-        let _shutdown = PoolShutdownGuard(pool.as_ref());
+        let _shutdown = PoolShutdownGuard(&pool);
         run_merge(
             ShardMerge::new(rxs),
             original,
-            pool.as_ref(),
+            &pool,
             queue,
             limit,
             deadline,
@@ -2205,13 +2111,11 @@ where
     }
     debug_assert!(!outcome.failed, "failure without a recorded error");
     let mut stats = *merged.lock().unwrap_or_else(|e| e.into_inner());
-    if pool.is_some() {
-        // Inline-claimed subtrees (and the root-log recording) ran on
-        // the coordinator's original instance: fold its counters in so
-        // stolen work is accounted exactly once.
-        original.seal_stats();
-        stats.merge(original.stats());
-    }
+    // Inline-claimed subtrees (and the root-log recording) ran on the
+    // coordinator's original instance: fold its counters in so stolen
+    // work is accounted exactly once.
+    original.seal_stats();
+    stats.merge(original.stats());
     // The user-facing view: what was delivered, and the gap actually
     // observed on the merged clock (worker-local gaps are meaningless
     // across clocks).
@@ -2408,6 +2312,108 @@ mod tests {
                 children += 1;
             }
             (children, ControlFlow::Continue(()))
+        }
+    }
+
+    /// A complete binary search tree of depth [`Self::DEPTH`] whose leaf
+    /// `i` emits `{EdgeId(i)}`. It shards (`split_root`) but keeps the
+    /// default `record_subtree`, so it cannot checkpoint subtrees: the
+    /// sharded engine's fallback to local root generation without steals.
+    struct UncheckpointedProblem {
+        depth: u32,
+        code: u32,
+        stats: EnumStats,
+    }
+
+    impl UncheckpointedProblem {
+        const DEPTH: u32 = 5;
+
+        fn new() -> Self {
+            UncheckpointedProblem {
+                depth: 0,
+                code: 0,
+                stats: EnumStats::default(),
+            }
+        }
+    }
+
+    impl MinimalSteinerProblem for UncheckpointedProblem {
+        type Item = EdgeId;
+        type Branch = ();
+
+        const NAME: &'static str = "uncheckpointed test problem";
+
+        fn validate(&self) -> Result<(), SteinerError> {
+            Ok(())
+        }
+
+        fn prepare(&mut self) -> Result<Prepared<EdgeId>, SteinerError> {
+            Ok(Prepared::Search)
+        }
+
+        fn instance_size(&self) -> (usize, usize) {
+            (2, 1)
+        }
+
+        fn stats(&self) -> &EnumStats {
+            &self.stats
+        }
+
+        fn stats_mut(&mut self) -> &mut EnumStats {
+            &mut self.stats
+        }
+
+        fn classify(&mut self, out: &mut Vec<EdgeId>) -> NodeStep<()> {
+            if self.depth < Self::DEPTH {
+                NodeStep::Branch(())
+            } else {
+                out.push(EdgeId(self.code));
+                NodeStep::Unique
+            }
+        }
+
+        fn solution(&self, _out: &mut Vec<EdgeId>) {}
+
+        fn branch(
+            &mut self,
+            _at: (),
+            child: &mut dyn FnMut(&mut Self) -> ControlFlow<()>,
+        ) -> (u64, ControlFlow<()>) {
+            let mut children = 0;
+            for bit in 0..2 {
+                self.depth += 1;
+                self.code = 2 * self.code + bit;
+                let flow = child(self);
+                self.code /= 2;
+                self.depth -= 1;
+                children += 1;
+                if flow.is_break() {
+                    return (children, flow);
+                }
+            }
+            (children, ControlFlow::Continue(()))
+        }
+
+        fn split_root(&self, _shard: RootShard) -> Option<Self> {
+            Some(UncheckpointedProblem::new())
+        }
+    }
+
+    #[test]
+    fn sharding_without_subtree_checkpoints_matches_sequential_without_steals() {
+        let sequential = Enumeration::new(UncheckpointedProblem::new())
+            .collect_vec()
+            .unwrap();
+        assert_eq!(sequential.len(), 1 << UncheckpointedProblem::DEPTH);
+        for k in [2, 4] {
+            let (run, handle) = Enumeration::new(UncheckpointedProblem::new())
+                .with_threads(k)
+                .with_stats();
+            assert_eq!(run.collect_vec().unwrap(), sequential, "threads({k})");
+            let stats = handle.get();
+            assert_eq!(stats.subtrees_stolen, 0, "threads({k}) publishes nothing");
+            assert_eq!(stats.steal_failures, 0, "threads({k}) offers nothing");
+            assert_eq!(stats.solutions, sequential.len() as u64);
         }
     }
 

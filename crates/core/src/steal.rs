@@ -1,20 +1,20 @@
 //! Subtree work stealing for the sharded front-end.
 //!
-//! Root-only sharding ([`Enumeration::with_threads`](crate::solver::Enumeration::with_threads))
-//! splits the root's children round-robin, which collapses when the root
-//! has fewer children than workers or when one subtree dwarfs the rest.
-//! This module adds the second level: a busy worker reaching a branch
-//! child may *publish* it — a self-contained
-//! [`SubtreeRecord`] checkpoint pushed
-//! into the pool's bounded pending deque — instead of
-//! descending, leaving a [`Spawned`](steiner_paths::streaming::ShardMsg)
-//! marker in its output stream at exactly the position where the
-//! subtree's solutions belong. An idle worker (or, to keep the merge
-//! deadlock-free, the coordinator itself) claims the checkpoint, replays
-//! it on its own instance copy, and delivers the subtree over a dedicated
-//! channel that the coordinator splices in at the marker — so the merged
-//! stream stays **byte-identical to the sequential engine** no matter
-//! which worker executed which subtree.
+//! Sharding ([`Enumeration::with_threads`](crate::solver::Enumeration::with_threads))
+//! splits the root's children round-robin, which alone collapses when the
+//! root has fewer children than workers or when one subtree dwarfs the
+//! rest. This module adds the second level, which every sharded run
+//! uses: a busy worker reaching a branch child may *publish* it — a
+//! self-contained [`SubtreeRecord`] checkpoint pushed into the pool's
+//! bounded pending deque — instead of descending, leaving a
+//! [`Spawned`](steiner_paths::streaming::ShardMsg) marker in its output
+//! stream at exactly the position where the subtree's solutions belong.
+//! An idle worker (or, to keep the merge deadlock-free, the coordinator
+//! itself) claims the checkpoint, replays it on its own instance copy,
+//! and delivers the subtree over a dedicated channel that the
+//! coordinator splices in at the marker — so the merged stream stays
+//! **byte-identical to the sequential engine** no matter which worker
+//! executed which subtree.
 //!
 //! Spawn decisions are adaptive by default (spawn only while the pool is
 //! hungry: an idle worker is waiting, or fewer checkpoints than workers

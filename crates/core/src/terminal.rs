@@ -86,7 +86,6 @@ pub struct TerminalSteinerTree<'g> {
     terminals: Vec<VertexId>,
     stats: EnumStats,
     search: Option<TerminalSearch>,
-    level_cache_cap: Option<usize>,
     incremental: bool,
 }
 
@@ -163,8 +162,6 @@ struct ComponentSearch {
     aug: AugScratch,
     pool: Vec<BranchScratch>,
     depth: usize,
-    /// Per-level BFS cache preallocation cap for pool growth.
-    level_cache_cap: usize,
     extra_allocs: u64,
     baseline_allocs: u64,
 }
@@ -252,7 +249,6 @@ impl<'g> TerminalSteinerTree<'g> {
             terminals: terminals.to_vec(),
             stats: EnumStats::default(),
             search: None,
-            level_cache_cap: None,
             incremental: true,
         }
     }
@@ -264,7 +260,6 @@ impl<'g> TerminalSteinerTree<'g> {
             terminals: terminals.to_vec(),
             stats: EnumStats::default(),
             search: None,
-            level_cache_cap: None,
             incremental: true,
         }
     }
@@ -277,7 +272,6 @@ impl<'g> TerminalSteinerTree<'g> {
             terminals: self.terminals,
             stats: self.stats,
             search: self.search,
-            level_cache_cap: self.level_cache_cap,
             incremental: self.incremental,
         }
     }
@@ -414,13 +408,8 @@ impl MinimalSteinerProblem for TerminalSteinerTree<'_> {
             terminals: self.terminals.clone(),
             stats: EnumStats::default(),
             search: None,
-            level_cache_cap: self.level_cache_cap,
             incremental: self.incremental,
         })
-    }
-
-    fn set_level_cache_cap(&mut self, cap: usize) {
-        self.level_cache_cap = Some(cap.max(1));
     }
 
     fn set_incremental(&mut self, on: bool) {
@@ -462,11 +451,7 @@ impl MinimalSteinerProblem for TerminalSteinerTree<'_> {
             // the w₀-w₁ paths (§5.1).
             let doubled = Arc::new(CsrDigraph::doubled(g));
             let mut path = PathScratch::new();
-            path.preallocate_capped(
-                n + 2,
-                self.level_cache_cap
-                    .unwrap_or(steiner_paths::enumerate::DEFAULT_LEVEL_CACHE_CAP),
-            );
+            path.preallocate(n + 2);
             let boundary = Vec::with_capacity(2 * g.num_edges() + 2);
             let mut search = TwoTerminalSearch {
                 doubled,
@@ -549,13 +534,10 @@ impl MinimalSteinerProblem for TerminalSteinerTree<'_> {
         aug.preallocate(n, num_edges);
         let mut trail = Trail::new();
         trail.preallocate(2 * n + 2);
-        let level_cache_cap = self
-            .level_cache_cap
-            .unwrap_or(steiner_paths::enumerate::DEFAULT_LEVEL_CACHE_CAP);
         let mut pool = Vec::with_capacity(self.terminals.len() + 2);
         for _ in 0..self.terminals.len() + 2 {
             let mut bs = BranchScratch::default();
-            bs.preallocate(n, num_edges, level_cache_cap);
+            bs.preallocate(n, num_edges);
             pool.push(bs);
         }
         let mut t = PartialTree::new(n, &self.terminals, None);
@@ -583,7 +565,6 @@ impl MinimalSteinerProblem for TerminalSteinerTree<'_> {
             aug,
             pool,
             depth: 0,
-            level_cache_cap,
             extra_allocs: 0,
             baseline_allocs: 0,
         };
@@ -871,7 +852,7 @@ impl TerminalSteinerTree<'_> {
         if cs.pool.len() <= depth {
             cs.extra_allocs += 1;
             let mut fresh = BranchScratch::default();
-            fresh.preallocate(cs.gc.num_vertices(), cs.gc.num_edges(), cs.level_cache_cap);
+            fresh.preallocate(cs.gc.num_vertices(), cs.gc.num_edges());
             cs.pool.push(fresh);
         }
         cs.depth = depth + 1;

@@ -227,8 +227,7 @@ struct LevelScratch {
 /// [`PathScratch::preallocate`] sizes up front. Deeper recursion levels
 /// are grown on demand at every access site (each growth is counted in
 /// [`PathScratch::alloc_events`]), so the cap bounds warm-up memory —
-/// not the reachable recursion depth. Override it per enumeration with
-/// [`PathScratch::preallocate_capped`].
+/// not the reachable recursion depth.
 pub const DEFAULT_LEVEL_CACHE_CAP: usize = 512;
 
 impl PathScratch {
@@ -251,12 +250,11 @@ impl PathScratch {
     }
 
     /// As [`Self::preallocate`] with an explicit cap on the number of
-    /// preallocated per-level BFS caches — the memory knob for
-    /// embeddings that run many enumerators side by side (each level
-    /// owns two `n`-word arrays, so the warm-up footprint is
-    /// `2n · min(n + 2, cap)` words). A small cap never changes results
-    /// or reachable depth; deep runs just grow the cache on demand.
-    pub fn preallocate_capped(&mut self, n: usize, level_cache_cap: usize) {
+    /// preallocated per-level BFS caches (each level owns two `n`-word
+    /// arrays, so the warm-up footprint is `2n · min(n + 2, cap)` words).
+    /// A small cap never changes results or reachable depth; deep runs
+    /// just grow the cache on demand.
+    fn preallocate_capped(&mut self, n: usize, level_cache_cap: usize) {
         self.removed
             .reserve(n.saturating_sub(self.removed.capacity()));
         self.stamp.reserve(n.saturating_sub(self.stamp.capacity()));

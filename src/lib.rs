@@ -39,9 +39,9 @@
 //! * **sharded** — [`Enumeration::with_threads`] splits the root's
 //!   children across a worker pool and merges deterministically, so the
 //!   delivered stream is identical to the sequential one (composable
-//!   with all of the above); [`Enumeration::with_stealing`] adds
-//!   second-level subtree work stealing for skew-rooted instances
-//!   without changing a byte of the stream.
+//!   with all of the above); idle workers steal whole subtrees from busy
+//!   ones, so skew-rooted instances stay balanced without changing a
+//!   byte of the stream.
 //!
 //! ```
 //! use minimal_steiner::graph::{generators, VertexId};

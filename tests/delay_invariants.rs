@@ -296,7 +296,7 @@ fn stealing_queue_bounds_maximum_delivery_gap() {
     // spliced in at their `Spawned` markers. The merged work clock
     // baselines each task stream at its first message and adds deltas
     // from then on, so the delivery-gap bound must survive unchanged —
-    // same budget, heartbeat, and slack terms as the root-only sharded
+    // same budget, heartbeat, and slack terms as the adaptive sharded
     // test above.
     use minimal_steiner::StealSchedule;
     let g = generators::theta_chain(14, 2);

@@ -100,8 +100,10 @@ fn served_streams_are_byte_identical_to_one_shot_runs() {
     assert_eq!(edge_stats.hits + arc_stats.hits, 4 * 2 * 4 - 4);
 }
 
-/// Pooled sharded queries steal by default; `stealing(false)` keeps the
-/// root-only reference path, and both deliver the sequential stream.
+/// Pooled sharded queries steal, and every option set delivers the
+/// sequential stream. The cache key ignores execution options, so each
+/// option set runs on a fresh engine: a shared one would replay the
+/// first run's stream for every later query.
 #[test]
 fn pooled_queries_steal_by_default_and_match_the_reference() {
     // A multi-terminal grid: the enumeration tree has depth, so the
@@ -112,28 +114,16 @@ fn pooled_queries_steal_by_default_and_match_the_reference() {
         .collect_vec()
         .unwrap();
     let query = Query::SteinerTree { terminals: w };
-    let engine = EnumerationEngine::new(g);
-    let session = engine.session("ab-test");
-    // Fresh cache entries per option set would mask differences — the
-    // cache key ignores execution options, so each run below would
-    // replay the first one's stream. That is exactly what the test
-    // wants to rule out, so the *first* run uses the reference path and
-    // the stealing runs must reproduce it bit for bit.
-    let reference = session
-        .run(
-            query.clone(),
-            QueryOptions::default().threads(4).stealing(false),
-        )
-        .unwrap();
-    assert_eq!(reference.solutions.edges().unwrap(), &want[..]);
     for opts in [
-        QueryOptions::default().threads(4), // stealing defaults on
-        QueryOptions::default().threads(4).stealing(true),
+        QueryOptions::default().threads(4),
+        QueryOptions::default().threads(2),
         QueryOptions::default().threads(2).queued(),
     ] {
-        let outcome = session.run(query.clone(), opts).unwrap();
+        let engine = EnumerationEngine::new(g.clone());
+        let outcome = engine.session("ab-test").run(query.clone(), opts).unwrap();
         assert!(outcome.is_complete());
-        assert_eq!(outcome.solutions.edges().unwrap(), &want[..]);
+        assert_eq!(outcome.stats.cache_misses, 1, "{opts:?} ran the engine");
+        assert_eq!(outcome.solutions.edges().unwrap(), &want[..], "{opts:?}");
     }
 }
 

@@ -1,8 +1,8 @@
-//! Determinism and coverage for second-level work stealing in the
-//! sharded front-end (`Enumeration::with_stealing` /
+//! Determinism and coverage for the subtree work stealing every sharded
+//! run uses (`Enumeration::with_threads`, scripted through
 //! `Enumeration::with_steal_schedule`).
 //!
-//! The contract under test: with stealing enabled, the delivered stream
+//! The contract under test: the delivered stream of a sharded run
 //! stays **byte-identical to the sequential run** for every problem
 //! type, thread count, and front-end (direct, queued, limited, early
 //! break, pull iterator, cached) — no matter which worker executed
@@ -42,10 +42,9 @@ where
     (stream, handle.get())
 }
 
-/// Asserts that stealing (adaptive), stealing off (the A/B reference),
-/// and the queued chain all reproduce the sequential stream exactly for
-/// k ∈ {1, 2, 4}, and that `with_limit` under stealing delivers exactly
-/// the sequential prefix.
+/// Asserts that adaptive stealing, direct and through the queued chain,
+/// reproduces the sequential stream exactly for k ∈ {1, 2, 4}, and that
+/// `with_limit` under stealing delivers exactly the sequential prefix.
 fn assert_stealing_matches<P, F>(make: F)
 where
     P: MinimalSteinerProblem + Send,
@@ -54,18 +53,11 @@ where
 {
     let sequential = ordered(Enumeration::new(make()));
     for k in [1usize, 2, 4] {
-        let stealing = ordered(Enumeration::new(make()).with_threads(k).with_stealing(true));
+        let stealing = ordered(Enumeration::new(make()).with_threads(k));
         assert_eq!(stealing, sequential, "threads({k}) stealing direct");
-        let reference = ordered(
-            Enumeration::new(make())
-                .with_threads(k)
-                .with_stealing(false),
-        );
-        assert_eq!(reference, sequential, "threads({k}) root-only reference");
         let queued = ordered(
             Enumeration::new(make())
                 .with_threads(k)
-                .with_stealing(true)
                 .with_default_queue(),
         );
         assert_eq!(queued, sequential, "threads({k}) stealing queued");
@@ -78,12 +70,7 @@ where
     };
     for k in [2usize, 4] {
         for &limit in &cuts {
-            let capped = ordered(
-                Enumeration::new(make())
-                    .with_threads(k)
-                    .with_stealing(true)
-                    .with_limit(limit),
-            );
+            let capped = ordered(Enumeration::new(make()).with_threads(k).with_limit(limit));
             let want = &sequential[..(limit.min(total)) as usize];
             assert_eq!(capped, want, "threads({k}) stealing with_limit({limit})");
         }
@@ -357,7 +344,6 @@ fn stealing_iterator_front_end_matches_and_stops_on_drop() {
 
     let adaptive: Vec<Vec<_>> = Enumeration::new(SteinerTree::from_graph(g, &w))
         .with_threads(4)
-        .with_stealing(true)
         .into_iter()
         .expect("valid instance")
         .collect();
@@ -403,8 +389,9 @@ fn stealing_cached_runs_fill_and_replay_identically() {
 /// two-path theta bottleneck into the corner (vertex 3) of a 3×3 grid
 /// holding the remaining terminals. The root's first branch connects
 /// terminal 3 across the bottleneck, so the root has exactly **two**
-/// children — root-only sharding with k = 4 permanently starves workers
-/// 2 and 3 — while the grid side branches richly at depths 2–3.
+/// children — round-robin root splitting alone with k = 4 would
+/// permanently starve workers 2 and 3 — while the grid side branches
+/// richly at depths 2–3.
 fn starved_root_instance() -> (minimal_steiner::graph::UndirectedGraph, Vec<VertexId>) {
     let g = minimal_steiner::graph::UndirectedGraph::from_edges(
         12,
@@ -467,22 +454,6 @@ fn starved_root_with_stealing_keeps_every_worker_busy() {
     }
 }
 
-#[test]
-fn root_only_reference_starves_late_workers_on_a_two_child_root() {
-    // The A/B contrast for the regression above: with stealing off, the
-    // same instance delivers the same stream but only via workers 0 and
-    // 1 (there is nothing observable to count without a schedule, so
-    // this asserts the stream-level contract the reference provides).
-    let (g, w) = starved_root_instance();
-    let sequential = ordered(Enumeration::new(SteinerTree::new(&g, &w)));
-    let reference = ordered(
-        Enumeration::new(SteinerTree::new(&g, &w))
-            .with_threads(4)
-            .with_stealing(false),
-    );
-    assert_eq!(reference, sequential);
-}
-
 // ---------------------------------------------------------------------
 // Stats: steal counters on skewed workloads, and failure accounting.
 // ---------------------------------------------------------------------
@@ -510,22 +481,8 @@ fn skewed_workload_records_steals_in_merged_stats() {
     );
 }
 
-#[test]
-fn stealing_off_records_no_steals() {
-    let g = generators::theta_chain(5, 3);
-    let w = [VertexId(0), VertexId(5)];
-    let (stream, stats) = ordered_with_stats(
-        Enumeration::new(SteinerTree::new(&g, &w))
-            .with_threads(4)
-            .with_stealing(false),
-    );
-    assert_eq!(stream.len(), 243);
-    assert_eq!(stats.subtrees_stolen, 0);
-    assert_eq!(stats.steal_failures, 0);
-}
-
 // ---------------------------------------------------------------------
-// Property-based sweep: random instances, every front-end, on/off.
+// Property-based sweep: random instances, every front-end.
 // ---------------------------------------------------------------------
 
 /// One randomized conformance check: sequential vs stealing (adaptive
@@ -540,7 +497,7 @@ fn prop_check_tree(seed: u64) -> Result<(), TestCaseError> {
     let make = || SteinerTree::new(&g, &w);
     let sequential = ordered(Enumeration::new(make()));
     for k in [2usize, 4] {
-        let adaptive = ordered(Enumeration::new(make()).with_threads(k).with_stealing(true));
+        let adaptive = ordered(Enumeration::new(make()).with_threads(k));
         prop_assert_eq!(&adaptive, &sequential, "adaptive threads({})", k);
         let scripted = ordered(
             Enumeration::new(make())
