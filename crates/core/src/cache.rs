@@ -58,7 +58,6 @@ use crate::snapshot::{
 };
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::ops::ControlFlow;
 use std::sync::{Arc, Mutex};
 use steiner_graph::epoch::{RegionMap, RegionSignature};
 use steiner_graph::{DiGraph, UndirectedGraph, VertexId};
@@ -263,99 +262,43 @@ impl<Item: Copy + Eq + Hash> ResultCache<Item> {
         self.lock().store.bytes()
     }
 
-    /// Replays the stored stream for `key` into `deliver`, in original
-    /// order, counting a hit and touching the entry's LRU clock. Returns
-    /// the number of solutions delivered, or `None` on a miss (which is
-    /// counted too — callers fall through to a real enumeration).
+    /// Copies the stored stream for `key` out of the arena, in original
+    /// order, counting a hit and touching the entry's LRU clock: the
+    /// solutions flattened into one vector, with one length per solution.
+    /// Returns `None` on a miss (which is counted too — callers fall
+    /// through to a real enumeration).
     ///
-    /// The stream is copied out of the arena under one short lock and
-    /// delivered **unlocked**, so the sink may freely touch this cache
-    /// (nested queries, `stats()`) without deadlocking, and a concurrent
-    /// eviction cannot disturb the replay.
-    pub(crate) fn replay(
-        &self,
-        key: &QueryKey,
-        deliver: &mut dyn FnMut(&[Item]) -> ControlFlow<()>,
-    ) -> Option<u64> {
-        let (flat, lens) = {
-            let mut inner = self.lock();
-            inner.epoch += 1;
-            let epoch = inner.epoch;
-            // Split the borrow: ids live in the map, payload in the store.
-            let Inner {
-                store,
-                map,
-                hits,
-                misses,
-                ..
-            } = &mut *inner;
-            let Some(entry) = map.get_mut(key) else {
-                *misses += 1;
-                return None;
-            };
-            entry.last_used = epoch;
-            *hits += 1;
-            let total: usize = entry.ids.iter().map(|&id| store.resolve(id).len()).sum();
-            let mut flat: Vec<Item> = Vec::with_capacity(total);
-            let mut lens: Vec<u32> = Vec::with_capacity(entry.ids.len());
-            for &id in &entry.ids {
-                let items = store.resolve(id);
-                flat.extend_from_slice(items);
-                lens.push(items.len() as u32);
-            }
-            (flat, lens)
-        };
-        let mut delivered = 0u64;
-        let mut start = 0usize;
-        for len in lens {
-            let end = start + len as usize;
-            delivered += 1;
-            if deliver(&flat[start..end]).is_break() {
-                break;
-            }
-            start = end;
-        }
-        Some(delivered)
-    }
-
-    /// Checks out the stored stream for `key` as owned ids, taking one
-    /// reference per solution so a concurrent eviction cannot free them.
-    /// Callers resolve at their own pace ([`Self::resolve_owned`]) and
-    /// must hand the references back via [`Self::release_ids`]. Counts a
-    /// hit or a miss. Used by the iterator front-end, whose consumer
-    /// outlives the lookup.
-    pub(crate) fn checkout(&self, key: &QueryKey) -> Option<Vec<SolutionId>> {
+    /// The copy is taken under one short lock and owned by the caller, so
+    /// delivering it may freely touch this cache (nested queries,
+    /// `stats()`) without deadlocking, and a later eviction or
+    /// [`Self::clear`] cannot disturb it.
+    pub(crate) fn lookup(&self, key: &QueryKey) -> Option<(Vec<Item>, Vec<u32>)> {
         let mut inner = self.lock();
         inner.epoch += 1;
         let epoch = inner.epoch;
-        let Some(entry) = inner.map.get_mut(key) else {
-            inner.misses += 1;
+        // Split the borrow: ids live in the map, payload in the store.
+        let Inner {
+            store,
+            map,
+            hits,
+            misses,
+            ..
+        } = &mut *inner;
+        let Some(entry) = map.get_mut(key) else {
+            *misses += 1;
             return None;
         };
         entry.last_used = epoch;
-        let ids = entry.ids.clone();
-        inner.hits += 1;
-        for &id in &ids {
-            inner.store.acquire(id);
-        }
-        Some(ids)
-    }
-
-    /// Copies the solutions for `ids` out of the arena under **one**
-    /// lock, flattened with a length table (the iterator front-end's
-    /// replay shape: its bounded channel may block per send, so it must
-    /// not hold the lock — or take it — per solution).
-    pub(crate) fn resolve_owned_batch(&self, ids: &[SolutionId]) -> (Vec<Item>, Vec<u32>) {
-        let inner = self.lock();
-        let total: usize = ids.iter().map(|&id| inner.store.resolve(id).len()).sum();
+        *hits += 1;
+        let total: usize = entry.ids.iter().map(|&id| store.resolve(id).len()).sum();
         let mut flat: Vec<Item> = Vec::with_capacity(total);
-        let mut lens: Vec<u32> = Vec::with_capacity(ids.len());
-        for &id in ids {
-            let items = inner.store.resolve(id);
+        let mut lens: Vec<u32> = Vec::with_capacity(entry.ids.len());
+        for &id in &entry.ids {
+            let items = store.resolve(id);
             flat.extend_from_slice(items);
             lens.push(items.len() as u32);
         }
-        (flat, lens)
+        Some((flat, lens))
     }
 
     /// Interns one delivered solution while a cold run is being recorded
@@ -411,9 +354,9 @@ impl<Item: Copy + Eq + Hash> ResultCache<Item> {
         pressure
     }
 
-    /// Hands back references taken by [`Self::checkout`] or a rolled-back
-    /// recording, compacting when dead bytes dominate. Returns the
-    /// pressure (compactions only — releases never evict entries).
+    /// Hands back the references of a rolled-back recording, compacting
+    /// when dead bytes dominate. Returns the pressure (compactions only —
+    /// releases never evict entries).
     pub(crate) fn release_ids(&self, ids: &[SolutionId]) -> CachePressure {
         let mut inner = self.lock();
         for &id in ids {
@@ -830,13 +773,15 @@ mod tests {
     }
 
     fn replay_all(cache: &ResultCache<EdgeId>, k: &QueryKey) -> Option<Vec<Vec<EdgeId>>> {
+        let (flat, lens) = cache.lookup(k)?;
+        let mut rest = &flat[..];
         let mut out = Vec::new();
-        cache
-            .replay(k, &mut |items| {
-                out.push(items.to_vec());
-                ControlFlow::Continue(())
-            })
-            .map(|_| out)
+        for len in lens {
+            let (solution, tail) = rest.split_at(len as usize);
+            out.push(solution.to_vec());
+            rest = tail;
+        }
+        Some(out)
     }
 
     #[test]
@@ -902,39 +847,45 @@ mod tests {
     }
 
     #[test]
-    fn checkout_survives_eviction() {
+    fn looked_up_stream_outlives_eviction() {
+        // One 25-item solution = 100 bytes per entry; only one fits.
         let cache = ResultCache::with_capacity_bytes(120);
-        let a = sols(&[25]);
-        record(&cache, key("st", 0, None), &a);
-        let ids = cache.checkout(&key("st", 0, None)).expect("hit");
-        // Evict the entry by inserting two more oversized ones.
-        record(&cache, key("st", 1, None), &sols(&[25]));
-        record(&cache, key("st", 2, None), &sols(&[25]));
-        // The checked-out references keep the payload alive.
-        let (flat, lens) = cache.resolve_owned_batch(&ids);
-        assert_eq!(flat[..lens[0] as usize], a[0]);
-        cache.release_ids(&ids);
+        let payloads: Vec<Vec<Vec<EdgeId>>> = (0u32..3)
+            .map(|i| vec![(0u32..25).map(|j| EdgeId(i * 1000 + j)).collect()])
+            .collect();
+        let a = &payloads[0];
+        record(&cache, key("st", 0, None), a);
+        let stream = replay_all(&cache, &key("st", 0, None)).expect("hit");
+        // Evict the entry by inserting two more.
+        record(&cache, key("st", 1, None), &payloads[1]);
+        record(&cache, key("st", 2, None), &payloads[2]);
+        assert!(replay_all(&cache, &key("st", 0, None)).is_none(), "evicted");
+        // The looked-up copy is the caller's: eviction cannot touch it.
+        assert_eq!(&stream, a);
     }
 
     #[test]
     fn replay_sink_may_reenter_the_cache() {
+        use crate::{Enumeration, SteinerTree};
+        use std::ops::ControlFlow;
+        let g = UndirectedGraph::from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]).unwrap();
+        let w = [VertexId(0), VertexId(2)];
         let cache = ResultCache::new();
-        let k = key("st", 3, None);
-        record(&cache, k.clone(), &sols(&[2, 3]));
+        let cached = || Enumeration::new(SteinerTree::new(&g, &w)).cached(&cache);
+        assert_eq!(cached().count().unwrap(), 2, "cold run stores the stream");
         let mut seen = 0;
-        cache
-            .replay(&k, &mut |_| {
+        cached()
+            .for_each(|_| {
                 // A sink that inspects — or even queries — the same cache
-                // must not deadlock: replay delivers outside the lock.
+                // must not deadlock: a hit is delivered outside the lock.
                 assert!(cache.stats().entries >= 1);
-                assert!(cache
-                    .replay(&key("st", 99, None), &mut |_| ControlFlow::Continue(()))
-                    .is_none());
+                assert_eq!(cached().count().unwrap(), 2);
                 seen += 1;
                 ControlFlow::Continue(())
             })
             .unwrap();
         assert_eq!(seen, 2);
+        assert_eq!(cache.stats().hits, 3);
     }
 
     #[test]

@@ -17,9 +17,10 @@
 //!   its full DP-graph machinery, which the paper itself does not use).
 
 use crate::improved::SteinerTree;
+use crate::problem::MinimalSteinerProblem;
 use crate::queue::DirectSink;
 use crate::simple::normalize_terminals;
-use crate::solver::run_sink_lenient;
+use crate::solver::run_with_sink;
 use crate::stats::EnumStats;
 use std::ops::ControlFlow;
 use steiner_graph::traversal::bfs;
@@ -139,7 +140,15 @@ pub fn enumerate_minimum_steiner_trees(
     let mut direct = DirectSink {
         sink: &mut filtered,
     };
-    let stats = run_sink_lenient(&mut problem, &mut direct);
+    let stats = match run_with_sink(&mut problem, &mut direct) {
+        Ok(stats) => stats,
+        // `opt` exists, so the terminals are connected: the only instance
+        // left without solutions is an empty terminal set.
+        Err(e) => {
+            debug_assert!(e.means_no_solutions(), "unexpected {e}");
+            *problem.stats()
+        }
+    };
     Some((opt, stats))
 }
 

@@ -6,7 +6,7 @@
 //! * **push** — [`Enumeration::for_each`] hands each solution to a sink
 //!   closure the moment it is emitted (return
 //!   [`ControlFlow::Break`](std::ops::ControlFlow) to stop early);
-//! * **pull** — [`Enumeration::into_iter`] runs the enumeration on a
+//! * **pull** — [`Enumeration::into_iter`] runs the same run on a
 //!   dedicated large-stack worker thread (via
 //!   [`steiner_paths::streaming`]) and yields owned solutions through a
 //!   plain [`Iterator`]; dropping the iterator stops the producer;
@@ -14,6 +14,13 @@
 //!   delivered solutions, and [`Enumeration::with_queue`] /
 //!   [`Enumeration::with_default_queue`] interpose the Theorem-20 output
 //!   queue for a worst-case (rather than amortized) delay bound.
+//!
+//! Push and pull share one run path in two steps. The first runs on the
+//! calling thread: validation, the [`Enumeration::cached`] lookup (a hit
+//! is copied out of the cache here), and `prepare`, so instance errors
+//! are returned synchronously by both. The second delivers the stream,
+//! settles the cache recording and publishes the statistics once — on
+//! the calling thread for push, on the iterator's worker for pull.
 //!
 //! [`Enumeration::with_threads`] additionally **shards** the run across a
 //! pool of worker threads: the root node's children are split round-robin
@@ -40,7 +47,7 @@
 //! assert_eq!(trees.len(), 2);
 //! ```
 
-use crate::cache::{QueryKey, ResultCache};
+use crate::cache::{CachePressure, QueryKey, ResultCache};
 use crate::intern::{SolutionId, SolutionSet};
 use crate::problem::{
     MinimalSteinerProblem, NodeStep, Prepared, RootShard, SteinerError, SubtreeRecord,
@@ -127,9 +134,9 @@ fn emit<P: MinimalSteinerProblem>(
 }
 
 /// Runs a prepared problem to completion through `emitter`, finishing and
-/// sealing the statistics. This is the engine under every front-end; the
-/// deprecated free-function shims call it directly.
-pub fn run_prepared<P: MinimalSteinerProblem>(
+/// sealing the statistics: the sequential engine under every front-end
+/// and under [`run_with_sink`].
+fn run_prepared<P: MinimalSteinerProblem>(
     p: &mut P,
     prepared: Prepared<P::Item>,
     emitter: &mut dyn SolutionSink<P::Item>,
@@ -166,23 +173,6 @@ pub fn run_with_sink<P: MinimalSteinerProblem>(
 ) -> Result<EnumStats, SteinerError> {
     let prepared = p.prepare()?;
     Ok(run_prepared(p, prepared, emitter))
-}
-
-/// Backwards-compatibility runner for the deprecated free functions: their
-/// lenient contract treated empty, disconnected, and unreachable instances
-/// as "no solutions" rather than errors (and panicked on ids out of
-/// range). New code should use [`Enumeration`] and match on
-/// [`SteinerError`] instead.
-pub(crate) fn run_sink_lenient<P: MinimalSteinerProblem>(
-    p: &mut P,
-    emitter: &mut dyn SolutionSink<P::Item>,
-) -> EnumStats {
-    match run_with_sink(p, emitter) {
-        Ok(stats) => stats,
-        Err(e) if e.means_no_solutions() => *p.stats(),
-        // lint:allow(panic) documented back-compat contract: the deprecated free functions panicked on invalid instances
-        Err(e) => panic!("invalid {} instance: {e}", P::NAME),
-    }
 }
 
 enum QueueOpt {
@@ -391,8 +381,9 @@ impl<P: MinimalSteinerProblem> Enumeration<P> {
     /// delivered count and `max_emission_gap` re-measured as the delivery
     /// gap on the merged work clock.
     ///
-    /// `k ≤ 1`, or a problem whose `split_root` returns `None`, falls
-    /// back to the sequential engine.
+    /// `k ≤ 1`, a problem whose `split_root` returns `None`, or an
+    /// instance that `prepare` settles without search (no solution, or
+    /// exactly one) runs on the sequential engine.
     pub fn with_threads(mut self, k: usize) -> Self {
         self.threads = k.max(1);
         self
@@ -486,6 +477,74 @@ impl<P: MinimalSteinerProblem> Enumeration<P> {
             .collect()
     }
 
+    /// The calling-thread half of every front-end: takes the cache, the
+    /// interner and the stats handle off the builder, validates, and
+    /// looks the query up. A hit copies the stored stream out of the
+    /// arena under one lock, so nothing the cache does afterwards (an
+    /// eviction, a `clear`) can disturb its delivery. Otherwise it splits
+    /// the shards and prepares the problem, so instance errors surface
+    /// here, before any thread is spawned.
+    fn start(mut self) -> Result<Run<P>, SteinerError> {
+        let interner = self.interner.take();
+        let handle = self.stats_handle.take();
+        let mut recorder = None;
+        if let Some(cache) = self.cache.take() {
+            let key = match self.problem.cache_key() {
+                Some(key) => {
+                    // Malformed instances must error identically warm and
+                    // cold: the canonical fingerprints can make a
+                    // malformed query (e.g. a duplicate terminal inside a
+                    // forest set) collide with a valid query's key, so
+                    // validate structurally before the lookup.
+                    self.problem.validate()?;
+                    let key = QueryKey {
+                        key,
+                        limit: self.limit,
+                    };
+                    if let Some((flat, lens)) = cache.lookup(&key) {
+                        return Ok(Run {
+                            work: Work::Replay {
+                                stream: Batch { flat, lens },
+                                cache,
+                            },
+                            limit: self.limit,
+                            deadline: self.deadline,
+                            interner,
+                            handle,
+                        });
+                    }
+                    Some(key)
+                }
+                None => {
+                    // The problem opted out of caching: always a (counted)
+                    // miss, never recorded.
+                    cache.note_miss();
+                    None
+                }
+            };
+            recorder = Some(CacheRecorder::new(cache, key, self.limit));
+        }
+        let shards = self.split_shards();
+        let prepared = self.problem.prepare()?;
+        // An instance settled without search (no solution, or exactly
+        // one) has nothing to distribute: it runs sequentially.
+        let shards = shards.filter(|_| matches!(prepared, Prepared::Search));
+        Ok(Run {
+            work: Work::Engine {
+                queue: self.queue_config(),
+                schedule: self.steal_schedule.take(),
+                problem: self.problem,
+                prepared,
+                shards,
+                recorder,
+            },
+            limit: self.limit,
+            deadline: self.deadline,
+            interner,
+            handle,
+        })
+    }
+
     /// **Push front-end.** Runs the enumeration, handing each solution (a
     /// sorted item slice) to `sink`; return
     /// [`ControlFlow::Break`](std::ops::ControlFlow) to stop early.
@@ -497,127 +556,14 @@ impl<P: MinimalSteinerProblem> Enumeration<P> {
     /// this workspace are. The sink itself never crosses threads and
     /// needs no `Send`.
     pub fn for_each(
-        mut self,
+        self,
         mut sink: impl FnMut(&[P::Item]) -> ControlFlow<()>,
     ) -> Result<EnumStats, SteinerError>
     where
         P: Send,
         P::Item: Send,
     {
-        let cache = self.cache.take();
-        let interner = self.interner.take();
-        let handle = self.stats_handle.clone();
-        let limit = self.limit;
-
-        // The interning stage sits closest to the user sink, so it sees
-        // the final delivered stream (post-merge, post-queue, post-limit).
-        let mut interning = |items: &[P::Item]| -> ControlFlow<()> {
-            if let Some(set) = &interner {
-                set.intern(items);
-            }
-            sink(items)
-        };
-        let publish = |mut stats: EnumStats| -> EnumStats {
-            if let Some(set) = &interner {
-                stats.interned_bytes = stats.interned_bytes.max(set.bytes());
-            }
-            if let Some(h) = &handle {
-                h.set(stats);
-            }
-            stats
-        };
-
-        let Some(cache) = cache else {
-            return Ok(publish(self.run_plain(&mut interning)?));
-        };
-        let Some(key) = self.problem.cache_key() else {
-            // The problem opted out of caching: always a (counted) miss.
-            cache.note_miss();
-            let mut stats = self.run_plain(&mut interning)?;
-            stats.cache_misses = 1;
-            return Ok(publish(stats));
-        };
-        // Malformed instances must error identically warm and cold: the
-        // canonical fingerprints can make a malformed query (e.g. a
-        // duplicate terminal inside a forest set) collide with a valid
-        // query's key, so validate structurally before the lookup.
-        self.problem.validate()?;
-        let qkey = QueryKey { key, limit };
-        if let Some(delivered) = cache.replay(&qkey, &mut interning) {
-            return Ok(publish(EnumStats::for_cache_hit(delivered, cache.bytes())));
-        }
-        // Miss: run the engine, recording the delivered stream.
-        let mut recorder = CacheRecorder::new(cache, qkey, limit);
-        let run = self.run_plain(&mut |items: &[P::Item]| recorder.record(items, &mut interning));
-        match run {
-            Ok(mut stats) => {
-                recorder.settle(&mut stats);
-                Ok(publish(stats))
-            }
-            Err(e) => {
-                recorder.abandon();
-                Err(e)
-            }
-        }
-    }
-
-    /// The execution core under [`Self::for_each`]: dispatches to the
-    /// sharded pool or the sequential engine, with the limit/queue sink
-    /// chain already described on those methods. Cache and interner have
-    /// been peeled off by the caller.
-    fn run_plain(
-        mut self,
-        sink: &mut dyn FnMut(&[P::Item]) -> ControlFlow<()>,
-    ) -> Result<EnumStats, SteinerError>
-    where
-        P: Send,
-        P::Item: Send,
-    {
-        if let Some(shards) = self.split_shards() {
-            let queue = self.queue_config();
-            let schedule = self.steal_schedule.take();
-            // The original instance becomes the recorder: its root branch
-            // runs once here, producing the shared child log the workers
-            // replay instead of each re-generating every root child.
-            let mut original = self.problem;
-            let prepared = original.prepare()?;
-            let root_log = record_root_log(&mut original, prepared, self.limit);
-            let (stats, expired) = run_sharded(
-                &mut original,
-                shards,
-                root_log,
-                schedule,
-                queue,
-                self.limit,
-                self.deadline,
-                self.stats_handle.as_ref(),
-                sink,
-            )?;
-            if expired {
-                return Err(SteinerError::DeadlineExceeded);
-            }
-            return Ok(stats);
-        }
-        let prepared = self.problem.prepare()?;
-        let queue = self.queue_config();
-        let (stats, expired) = run_configured(
-            &mut self.problem,
-            prepared,
-            queue,
-            self.limit,
-            self.deadline,
-            sink,
-        );
-        if let Some(handle) = &self.stats_handle {
-            handle.set(stats);
-        }
-        if expired {
-            // The handle already carries the partial-run stats; the error
-            // is the caller-facing verdict (and triggers cache rollback
-            // in `for_each`'s recording path).
-            return Err(SteinerError::DeadlineExceeded);
-        }
-        Ok(stats)
+        self.start()?.drive(&mut sink)
     }
 
     /// Runs the enumeration for its statistics alone (every solution is
@@ -658,11 +604,12 @@ impl<P: MinimalSteinerProblem> Enumeration<P> {
         Ok(n)
     }
 
-    /// **Pull front-end.** Validates and preprocesses on the calling
-    /// thread (so instance errors are returned synchronously), then runs
-    /// the enumeration on a dedicated large-stack worker thread, yielding
-    /// owned solutions through a bounded channel. Dropping the iterator
-    /// stops the producer at its next emission.
+    /// **Pull front-end.** Validates, looks up the cache and prepares on
+    /// the calling thread (so instance errors are returned synchronously),
+    /// then runs the push front-end's run on a dedicated large-stack
+    /// worker thread, yielding owned solutions through a bounded channel.
+    /// Dropping the iterator stops the producer at its next emission; an
+    /// error the run ends with is kept for [`Solutions::error`].
     ///
     /// The problem must own its instance data (`P: 'static`); use the
     /// problems' `from_graph` constructors or `into_owned` adapters.
@@ -670,178 +617,170 @@ impl<P: MinimalSteinerProblem> Enumeration<P> {
     /// Named after `IntoIterator::into_iter` deliberately — the trait
     /// itself cannot be implemented because preparation is fallible.
     ///
-    /// With [`Self::with_threads`], a coordinator thread hosts the shard
-    /// pool and its merge point; instance errors are still returned
-    /// synchronously (the original problem is prepared once up front for
-    /// validation before the workers re-prepare their own copies).
+    /// With [`Self::with_threads`], the worker thread hosts the shard pool
+    /// and its merge point. A cache hit is copied out of the cache before
+    /// this returns, so the iterator delivers the whole stored stream even
+    /// if the entry is evicted or the cache cleared in the meantime.
     #[allow(clippy::should_implement_trait)]
-    pub fn into_iter(mut self) -> Result<Solutions<P::Item>, SteinerError>
+    pub fn into_iter(self) -> Result<Solutions<P::Item>, SteinerError>
     where
         P: Send + 'static,
         P::Item: Send + 'static,
     {
-        let cache = self.cache.take();
-        let interner = self.interner.take();
-        let limit = self.limit;
-        let deadline = self.deadline;
-        let handle = self.stats_handle.clone();
-        // Terminal-error slot shared with the worker thread, surfaced
-        // through [`Solutions::error`] once the stream ends.
-        let error_slot: Arc<Mutex<Option<SteinerError>>> = Arc::new(Mutex::new(None));
-        // Cache lookup first: a hit replays the interned stream without
-        // preparing (or even validating) anything — the stored stream
-        // proves the instance was valid.
-        let mut recorder = None;
-        // A cached() run whose problem reports no key still counts as a
-        // miss in the published stats (matching the push front-end).
-        let mut keyless_miss = None;
-        if let Some(cache) = &cache {
-            match self.problem.cache_key() {
-                Some(key) => {
-                    // Same rule as the push front-end: a malformed
-                    // instance errors before the lookup, warm or cold.
-                    self.problem.validate()?;
-                    let qkey = QueryKey { key, limit };
-                    if let Some(ids) = cache.checkout(&qkey) {
-                        let cache = cache.clone();
-                        let inner = streaming::Enumeration::spawn(move |send| {
-                            // One lock for the whole stream; sends (which
-                            // may block on the bounded channel) and
-                            // interning happen unlocked.
-                            let (flat, lens) = cache.resolve_owned_batch(&ids);
-                            cache.release_ids(&ids);
-                            let mut delivered = 0u64;
-                            let mut start = 0usize;
-                            for len in lens {
-                                let end = start + len as usize;
-                                let solution = flat[start..end].to_vec();
-                                start = end;
-                                if let Some(set) = &interner {
-                                    set.intern(&solution);
-                                }
-                                delivered += 1;
-                                if send(solution).is_break() {
-                                    break;
-                                }
-                            }
-                            if let Some(handle) = handle {
-                                // Fold the interner gauge in too, exactly
-                                // as the push front-end's publish() does.
-                                let mut bytes = cache.bytes();
-                                if let Some(set) = &interner {
-                                    bytes = bytes.max(set.bytes());
-                                }
-                                handle.set(EnumStats::for_cache_hit(delivered, bytes));
-                            }
-                        });
-                        // Replay never runs the engine, so it can neither
-                        // miss a deadline nor fail: the slot stays empty.
-                        return Ok(Solutions {
-                            inner,
-                            error: error_slot,
-                        });
-                    }
-                    recorder = Some(CacheRecorder::new(cache.clone(), qkey, limit));
-                }
-                None => {
-                    cache.note_miss();
-                    keyless_miss = Some(cache.clone());
-                }
+        let run = self.start()?;
+        let error: Arc<Mutex<Option<SteinerError>>> = Arc::new(Mutex::new(None));
+        let slot = Arc::clone(&error);
+        let inner = streaming::Enumeration::spawn(move |send| {
+            if let Err(e) = run.drive(&mut |items| send(items.to_vec())) {
+                *slot.lock().unwrap_or_else(|e| e.into_inner()) = Some(e);
             }
-        }
-        let shards = self.split_shards();
-        let prepared = self.problem.prepare()?;
-        let queue = self.queue_config();
-        let prepared = match (shards, prepared) {
-            (Some(shards), Prepared::Search) => {
-                // Trivial outcomes (Empty/Single) skip the pool entirely;
-                // a real search hands the prepared original over to the
-                // coordinator thread, which records the shared root child
-                // log once before the workers prepare their own copies.
-                let schedule = self.steal_schedule.take();
-                let mut original = self.problem;
-                let worker_error = Arc::clone(&error_slot);
-                let inner = streaming::Enumeration::spawn(move |send| {
-                    let root_log = record_root_log(&mut original, Prepared::Search, limit);
-                    let mut recorder = recorder;
-                    let (stats, expired) = run_sharded(
-                        &mut original,
-                        shards,
-                        root_log,
-                        schedule,
+        });
+        Ok(Solutions { inner, error })
+    }
+}
+
+/// A started enumeration ([`Enumeration::start`]), ready to deliver.
+struct Run<P: MinimalSteinerProblem> {
+    work: Work<P>,
+    limit: Option<u64>,
+    deadline: Option<Instant>,
+    interner: Option<SolutionSet<P::Item>>,
+    handle: Option<StatsHandle>,
+}
+
+/// What a [`Run`] delivers: a cache hit's stored stream, or the engine.
+enum Work<P: MinimalSteinerProblem> {
+    /// A cache hit, already copied out of `cache` (which still supplies
+    /// the byte gauge for the published stats).
+    Replay {
+        stream: Batch<P::Item>,
+        cache: ResultCache<P::Item>,
+    },
+    /// A prepared engine run; `shards` holds the workers' copies when it
+    /// runs sharded, `recorder` the cache recording of a `cached()` miss.
+    Engine {
+        problem: P,
+        prepared: Prepared<P::Item>,
+        shards: Option<Vec<P>>,
+        schedule: Option<StealSchedule>,
+        queue: Option<QueueConfig>,
+        recorder: Option<CacheRecorder<P::Item>>,
+    },
+}
+
+impl<P: MinimalSteinerProblem + Send> Run<P>
+where
+    P::Item: Send,
+{
+    /// Delivers the run into `sink` on the current thread, settles the
+    /// cache recording, and publishes the stats once — also when the
+    /// deadline expired, in which case the stats describe the partial
+    /// run and the verdict is [`SteinerError::DeadlineExceeded`].
+    fn drive(
+        self,
+        sink: &mut dyn FnMut(&[P::Item]) -> ControlFlow<()>,
+    ) -> Result<EnumStats, SteinerError> {
+        let Run {
+            work,
+            limit,
+            deadline,
+            interner,
+            handle,
+        } = self;
+        // The interning stage sits closest to the user sink, so it sees
+        // the final delivered stream (post-merge, post-queue, post-limit).
+        let mut deliver = |items: &[P::Item]| -> ControlFlow<()> {
+            if let Some(set) = &interner {
+                set.intern(items);
+            }
+            sink(items)
+        };
+        let (mut stats, expired) = match work {
+            Work::Replay { stream, cache } => {
+                // Replay is O(output) with no search: a deadline cannot
+                // interrupt it, and the stored stream is a complete answer.
+                let mut delivered = 0u64;
+                let _ = each_solution(&stream, |items| {
+                    delivered += 1;
+                    deliver(items)
+                });
+                (EnumStats::for_cache_hit(delivered, cache.bytes()), false)
+            }
+            Work::Engine {
+                mut problem,
+                prepared,
+                shards,
+                schedule,
+                queue,
+                mut recorder,
+            } => {
+                let mut recorded = |items: &[P::Item]| match &mut recorder {
+                    Some(r) => r.record(items, &mut deliver),
+                    None => deliver(items),
+                };
+                let outcome = match shards {
+                    Some(shards) => {
+                        // The original instance records the shared root
+                        // child log: its root branch runs once here, and
+                        // the workers replay the log instead of each
+                        // re-generating every root child.
+                        let root_log = record_root_log(&mut problem, prepared, limit);
+                        run_sharded(
+                            &mut problem,
+                            shards,
+                            root_log,
+                            schedule,
+                            queue,
+                            limit,
+                            deadline,
+                            &mut recorded,
+                        )
+                    }
+                    None => Ok(run_configured(
+                        &mut problem,
+                        prepared,
                         queue,
                         limit,
                         deadline,
-                        None,
-                        &mut |items: &[P::Item]| {
-                            deliver_to_iterator(&mut recorder, &interner, items, send)
-                        },
-                    )
-                    .expect("shard preparation failed although the original instance prepared");
-                    if expired {
-                        note_iterator_deadline(&mut recorder, &worker_error);
+                        &mut recorded,
+                    )),
+                };
+                match outcome {
+                    Ok((mut stats, expired)) => {
+                        if let Some(r) = recorder {
+                            r.settle(&mut stats, expired);
+                        }
+                        (stats, expired)
                     }
-                    finish_iterator_worker(
-                        recorder,
-                        keyless_miss,
-                        &interner,
-                        stats,
-                        handle.as_ref(),
-                    );
-                });
-                return Ok(Solutions {
-                    inner,
-                    error: error_slot,
-                });
+                    Err(e) => {
+                        if let Some(r) = recorder {
+                            r.abandon();
+                        }
+                        return Err(e);
+                    }
+                }
             }
-            (_, prepared) => prepared,
         };
-        let mut problem = self.problem;
-        let worker_error = Arc::clone(&error_slot);
-        let inner = steiner_paths::streaming::Enumeration::spawn(move |send| {
-            let mut recorder = recorder;
-            let (stats, expired) = run_configured(
-                &mut problem,
-                prepared,
-                queue,
-                limit,
-                deadline,
-                &mut |items: &[P::Item]| deliver_to_iterator(&mut recorder, &interner, items, send),
-            );
-            if expired {
-                note_iterator_deadline(&mut recorder, &worker_error);
-            }
-            finish_iterator_worker(recorder, keyless_miss, &interner, stats, handle.as_ref());
-        });
-        Ok(Solutions {
-            inner,
-            error: error_slot,
-        })
+        if let Some(set) = &interner {
+            stats.interned_bytes = stats.interned_bytes.max(set.bytes());
+        }
+        if let Some(handle) = &handle {
+            handle.set(stats);
+        }
+        if expired {
+            return Err(SteinerError::DeadlineExceeded);
+        }
+        Ok(stats)
     }
 }
 
-/// A deadline expired on the iterator front-end's worker: record the
-/// typed error for [`Solutions::error`] and mark a cold `cached()`
-/// recording as aborted so [`CacheRecorder::settle`] rolls it back — a
-/// deadline'd stream is a prefix, never the complete cacheable answer.
-fn note_iterator_deadline<Item: Copy + Eq + Hash>(
-    recorder: &mut Option<CacheRecorder<Item>>,
-    error: &Mutex<Option<SteinerError>>,
-) {
-    if let Some(r) = recorder.as_mut() {
-        r.broke = true;
-    }
-    error
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .get_or_insert(SteinerError::DeadlineExceeded);
-}
-
-/// Records a cold `cached()` run's delivered stream, on either front-end;
+/// Records a cold `cached()` run's delivered stream;
 /// [`Self::settle`] stores complete streams and rolls aborted ones back.
+/// A run whose problem reports no cache key (`key: None`) is counted as
+/// a miss but never recorded.
 struct CacheRecorder<Item: Copy + Eq + Hash> {
     cache: ResultCache<Item>,
-    key: QueryKey,
+    key: Option<QueryKey>,
     limit: Option<u64>,
     ids: Vec<SolutionId>,
     delivered: u64,
@@ -849,7 +788,7 @@ struct CacheRecorder<Item: Copy + Eq + Hash> {
 }
 
 impl<Item: Copy + Eq + Hash> CacheRecorder<Item> {
-    fn new(cache: ResultCache<Item>, key: QueryKey, limit: Option<u64>) -> Self {
+    fn new(cache: ResultCache<Item>, key: Option<QueryKey>, limit: Option<u64>) -> Self {
         CacheRecorder {
             cache,
             key,
@@ -867,7 +806,9 @@ impl<Item: Copy + Eq + Hash> CacheRecorder<Item> {
         items: &[Item],
         forward: &mut dyn FnMut(&[Item]) -> ControlFlow<()>,
     ) -> ControlFlow<()> {
-        self.ids.push(self.cache.intern(items));
+        if self.key.is_some() {
+            self.ids.push(self.cache.intern(items));
+        }
         self.delivered += 1;
         let flow = forward(items);
         if flow.is_break() {
@@ -878,14 +819,15 @@ impl<Item: Copy + Eq + Hash> CacheRecorder<Item> {
 
     /// Stores or rolls back the recording of a finished run and folds
     /// the outcome into its stats. A stream is complete — and therefore
-    /// cacheable — when nothing aborted it, or when the abort coincided
-    /// with the configured limit (the limit is part of the key, so the
-    /// capped stream is the full answer for it).
-    fn settle(self, stats: &mut EnumStats) {
-        let pressure = if !self.broke || Some(self.delivered) == self.limit {
-            self.cache.store_entry(self.key, self.ids)
-        } else {
-            self.cache.release_ids(&self.ids)
+    /// cacheable — when the deadline did not expire and nothing aborted
+    /// it, or the abort coincided with the configured limit (the limit is
+    /// part of the key, so the capped stream is the full answer for it).
+    fn settle(self, stats: &mut EnumStats, expired: bool) {
+        let complete = !expired && (!self.broke || Some(self.delivered) == self.limit);
+        let pressure = match self.key {
+            Some(key) if complete => self.cache.store_entry(key, self.ids),
+            Some(_) => self.cache.release_ids(&self.ids),
+            None => CachePressure::default(),
         };
         stats.cache_misses = 1;
         stats.evicted_entries += pressure.evicted;
@@ -896,53 +838,6 @@ impl<Item: Copy + Eq + Hash> CacheRecorder<Item> {
     /// Rolls back the recording of a run that failed.
     fn abandon(self) {
         let _ = self.cache.release_ids(&self.ids);
-    }
-}
-
-/// One delivery on the iterator front-end's worker: record for the cache
-/// (when a cold `cached()` run is underway), intern, and forward an owned
-/// copy to the channel. A failed send means the iterator was dropped —
-/// that counts as an abort for the recorder.
-fn deliver_to_iterator<Item: Copy + Eq + Hash>(
-    recorder: &mut Option<CacheRecorder<Item>>,
-    interner: &Option<SolutionSet<Item>>,
-    items: &[Item],
-    send: &mut dyn FnMut(Vec<Item>) -> ControlFlow<()>,
-) -> ControlFlow<()> {
-    let mut forward = |items: &[Item]| {
-        if let Some(set) = interner {
-            set.intern(items);
-        }
-        send(items.to_vec())
-    };
-    match recorder.as_mut() {
-        Some(r) => r.record(items, &mut forward),
-        None => forward(items),
-    }
-}
-
-/// End of an iterator-front-end run: settle the cache recording, fold the
-/// cache/interner gauges into the stats, and publish them. `keyless_miss`
-/// carries the cache of a run that could not be keyed (counted as a miss
-/// but never recorded).
-fn finish_iterator_worker<Item: Copy + Eq + Hash>(
-    recorder: Option<CacheRecorder<Item>>,
-    keyless_miss: Option<ResultCache<Item>>,
-    interner: &Option<SolutionSet<Item>>,
-    mut stats: EnumStats,
-    handle: Option<&StatsHandle>,
-) {
-    if let Some(r) = recorder {
-        r.settle(&mut stats);
-    } else if let Some(cache) = keyless_miss {
-        stats.cache_misses = 1;
-        stats.interned_bytes = stats.interned_bytes.max(cache.bytes());
-    }
-    if let Some(set) = interner {
-        stats.interned_bytes = stats.interned_bytes.max(set.bytes());
-    }
-    if let Some(handle) = handle {
-        handle.set(stats);
     }
 }
 
@@ -1955,8 +1850,8 @@ impl<Item, M> Drop for PoolShutdownGuard<'_, Item, M> {
 }
 
 /// Spawns one worker per shard (each with the streaming module's large
-/// stack), merges deterministically on the calling thread, and publishes
-/// the merged statistics. The sequential and sharded front-ends share
+/// stack), merges deterministically on the calling thread, and returns
+/// the merged statistics and whether the deadline expired. The sequential and sharded front-ends share
 /// the limit/queue sink chain, so the delivered stream is identical.
 ///
 /// `original` is the coordinator's own prepared instance (the one that
@@ -1972,7 +1867,6 @@ fn run_sharded<P>(
     queue: Option<QueueConfig>,
     limit: Option<u64>,
     deadline: Option<Instant>,
-    stats_handle: Option<&StatsHandle>,
     sink: &mut dyn FnMut(&[P::Item]) -> ControlFlow<()>,
 ) -> Result<(EnumStats, bool), SteinerError>
 where
@@ -1981,11 +1875,7 @@ where
 {
     if limit == Some(0) {
         // Nothing may be delivered; skip spawning entirely.
-        let stats = EnumStats::default();
-        if let Some(handle) = stats_handle {
-            handle.set(stats);
-        }
-        return Ok((stats, false));
+        return Ok((EnumStats::default(), false));
     }
     let k = shards.len() as u32;
     // One release per `budget` needs clock resolution no coarser than the
@@ -2121,9 +2011,6 @@ where
     // across clocks).
     stats.solutions = outcome.delivered;
     stats.max_emission_gap = outcome.max_gap;
-    if let Some(handle) = stats_handle {
-        handle.set(stats);
-    }
     Ok((stats, outcome.deadline_expired))
 }
 
@@ -2136,11 +2023,12 @@ pub struct Solutions<Item> {
 }
 
 impl<Item> Solutions<Item> {
-    /// The run's terminal error, if any — today only
-    /// [`SteinerError::DeadlineExceeded`], recorded when the run's
-    /// [`Enumeration::with_deadline`] expired mid-stream (instance errors
-    /// are returned synchronously by [`Enumeration::into_iter`] instead).
-    /// The yielded prefix is still valid. Read it after the iterator is
+    /// The error the run ended with, if any: the same error
+    /// [`Enumeration::for_each`] would return after delivering the same
+    /// prefix — in practice [`SteinerError::DeadlineExceeded`], when the
+    /// run's [`Enumeration::with_deadline`] expired mid-stream (instance
+    /// errors are returned synchronously by [`Enumeration::into_iter`]
+    /// instead). The yielded prefix is still valid. Read it after the iterator is
     /// exhausted: the worker publishes the verdict when the stream ends,
     /// so a mid-stream read may race a just-expiring deadline.
     pub fn error(&self) -> Option<SteinerError> {

@@ -8,7 +8,7 @@
 //! against the exponential-time `brute` oracles. The limit front-end and
 //! the stats handle are exercised as prefix/consistency checks.
 
-use minimal_steiner::graph::{generators, DiGraph, UndirectedGraph, VertexId};
+use minimal_steiner::graph::{generators, UndirectedGraph, VertexId};
 use minimal_steiner::steiner::brute;
 use minimal_steiner::{
     DirectedSteinerTree, Enumeration, MinimalSteinerProblem, SteinerForest, SteinerTree,
@@ -178,73 +178,6 @@ fn directed_steiner_tree_conforms_to_brute_oracle() {
             "digraph {d:?} root {root} terminals {w:?}"
         );
     }
-}
-
-/// The deprecated free-function shims delegate to the same engine: their
-/// solution sets must match the builder's on every problem.
-#[test]
-#[allow(deprecated)]
-fn deprecated_shims_match_the_engine() {
-    use minimal_steiner::steiner::directed::enumerate_minimal_directed_steiner_trees;
-    use minimal_steiner::steiner::forest::enumerate_minimal_steiner_forests;
-    use minimal_steiner::steiner::improved::enumerate_minimal_steiner_trees;
-    use minimal_steiner::steiner::terminal::enumerate_minimal_terminal_steiner_trees;
-
-    let g: UndirectedGraph = generators::grid(3, 4);
-    let w = [VertexId(0), VertexId(7), VertexId(11)];
-    let via_builder: BTreeSet<Vec<_>> = Enumeration::new(SteinerTree::new(&g, &w))
-        .collect_vec()
-        .unwrap()
-        .into_iter()
-        .collect();
-    let mut via_shim = BTreeSet::new();
-    enumerate_minimal_steiner_trees(&g, &w, &mut |e| {
-        via_shim.insert(e.to_vec());
-        ControlFlow::Continue(())
-    });
-    assert_eq!(via_builder, via_shim);
-
-    let sets = vec![
-        vec![VertexId(0), VertexId(11)],
-        vec![VertexId(3), VertexId(8)],
-    ];
-    let via_builder: BTreeSet<Vec<_>> = Enumeration::new(SteinerForest::new(&g, &sets))
-        .collect_vec()
-        .unwrap()
-        .into_iter()
-        .collect();
-    let mut via_shim = BTreeSet::new();
-    enumerate_minimal_steiner_forests(&g, &sets, &mut |e| {
-        via_shim.insert(e.to_vec());
-        ControlFlow::Continue(())
-    });
-    assert_eq!(via_builder, via_shim);
-
-    let via_builder: BTreeSet<Vec<_>> = Enumeration::new(TerminalSteinerTree::new(&g, &w))
-        .collect_vec()
-        .unwrap()
-        .into_iter()
-        .collect();
-    let mut via_shim = BTreeSet::new();
-    enumerate_minimal_terminal_steiner_trees(&g, &w, &mut |e| {
-        via_shim.insert(e.to_vec());
-        ControlFlow::Continue(())
-    });
-    assert_eq!(via_builder, via_shim);
-
-    let d = DiGraph::from_arcs(4, &[(0, 1), (0, 2), (1, 3), (2, 3)]).unwrap();
-    let (root, dw) = (VertexId(0), [VertexId(3)]);
-    let via_builder: BTreeSet<Vec<_>> = Enumeration::new(DirectedSteinerTree::new(&d, root, &dw))
-        .collect_vec()
-        .unwrap()
-        .into_iter()
-        .collect();
-    let mut via_shim = BTreeSet::new();
-    enumerate_minimal_directed_steiner_trees(&d, root, &dw, &mut |a| {
-        via_shim.insert(a.to_vec());
-        ControlFlow::Continue(())
-    });
-    assert_eq!(via_builder, via_shim);
 }
 
 /// Dropping the pull iterator early must stop the worker without hanging

@@ -2,7 +2,7 @@
 //! unified solver API: every variant is produced by the appropriate
 //! invalid instance, for every problem type and front-end.
 
-use minimal_steiner::graph::{DiGraph, UndirectedGraph, VertexId};
+use minimal_steiner::graph::{generators, DiGraph, UndirectedGraph, VertexId};
 use minimal_steiner::{
     DirectedSteinerTree, Enumeration, SteinerError, SteinerForest, SteinerTree, TerminalSteinerTree,
 };
@@ -195,63 +195,6 @@ fn errors_display_and_propagate_as_std_error() {
     assert!(boxed.to_string().contains("connected components"));
 }
 
-/// The deprecated shims keep the historical lenient contract for the
-/// conditions that used to be silent (and still panic on what used to
-/// panic, e.g. out-of-range ids).
-#[test]
-#[allow(deprecated)]
-fn shims_keep_lenient_semantics() {
-    use minimal_steiner::steiner::improved::enumerate_minimal_steiner_trees;
-    use std::ops::ControlFlow;
-
-    let g = UndirectedGraph::from_edges(4, &[(0, 1), (2, 3)]).unwrap();
-    let mut count = 0u64;
-    // Disconnected: silently no solutions.
-    enumerate_minimal_steiner_trees(&g, &[VertexId(0), VertexId(2)], &mut |_| {
-        count += 1;
-        ControlFlow::Continue(())
-    });
-    assert_eq!(count, 0);
-    // Empty terminal list: silently no solutions.
-    enumerate_minimal_steiner_trees(&g, &[], &mut |_| {
-        count += 1;
-        ControlFlow::Continue(())
-    });
-    assert_eq!(count, 0);
-    // Duplicates: silently deduplicated (one terminal -> one empty tree).
-    enumerate_minimal_steiner_trees(&g, &[VertexId(0), VertexId(0)], &mut |e| {
-        assert!(e.is_empty());
-        count += 1;
-        ControlFlow::Continue(())
-    });
-    assert_eq!(count, 1);
-    // Forest sets with duplicate members: silently deduplicated.
-    use minimal_steiner::steiner::forest::enumerate_minimal_steiner_forests;
-    let mut forests = 0u64;
-    enumerate_minimal_steiner_forests(
-        &g,
-        &[vec![VertexId(0), VertexId(0), VertexId(1)]],
-        &mut |e| {
-            assert_eq!(e.len(), 1);
-            forests += 1;
-            ControlFlow::Continue(())
-        },
-    );
-    assert_eq!(forests, 1);
-}
-
-#[test]
-#[should_panic(expected = "out of range")]
-#[allow(deprecated)]
-fn shims_still_panic_on_out_of_range_ids() {
-    use minimal_steiner::steiner::improved::enumerate_minimal_steiner_trees;
-    use std::ops::ControlFlow;
-    let g = path3();
-    enumerate_minimal_steiner_trees(&g, &[VertexId(0), VertexId(9)], &mut |_| {
-        ControlFlow::Continue(())
-    });
-}
-
 // ---------------------------------------------------------------------
 // Runtime conditions: deadlines and admission control. Unlike the
 // instance-validation errors above, these do not mean "no solutions" —
@@ -332,6 +275,52 @@ fn expired_deadline_is_reported_by_every_problem_and_front_end() {
     check_deadline_surface(move || {
         DirectedSteinerTree::from_graph(d.clone(), VertexId(0), &[VertexId(2)])
     });
+}
+
+/// A cold `cached()` run whose deadline expires is a counted miss that
+/// stores nothing, and both front-ends publish it as one: the stats
+/// handle reads `cache_misses == 1`, as the cache's own counter does.
+#[test]
+fn expired_cached_run_publishes_its_miss_on_both_front_ends() {
+    use minimal_steiner::ResultCache;
+    use std::ops::ControlFlow;
+    let g = generators::theta_chain(6, 3);
+    let w = [VertexId(0), VertexId(6)];
+    let past = std::time::Instant::now();
+    for threads in [1, 2] {
+        let cache = ResultCache::new();
+        let (run, handle) = Enumeration::new(SteinerTree::new(&g, &w))
+            .cached(&cache)
+            .with_deadline(past)
+            .with_threads(threads)
+            .with_stats();
+        let err = run.for_each(|_| ControlFlow::Continue(())).unwrap_err();
+        assert_eq!(err, SteinerError::DeadlineExceeded);
+        assert_eq!(handle.get().cache_misses, 1, "push, threads({threads})");
+        assert_eq!(cache.stats().misses, 1);
+        assert_eq!(
+            cache.stats().entries,
+            0,
+            "a deadline'd prefix is not stored"
+        );
+
+        let cache = ResultCache::new();
+        let (run, handle) = Enumeration::new(SteinerTree::from_graph(g.clone(), &w))
+            .cached(&cache)
+            .with_deadline(past)
+            .with_threads(threads)
+            .with_stats();
+        let mut it = run.into_iter().expect("valid instance");
+        it.by_ref().for_each(drop);
+        assert_eq!(it.error(), Some(SteinerError::DeadlineExceeded));
+        assert_eq!(handle.get().cache_misses, 1, "pull, threads({threads})");
+        assert_eq!(cache.stats().misses, 1);
+        assert_eq!(
+            cache.stats().entries,
+            0,
+            "a deadline'd prefix is not stored"
+        );
+    }
 }
 
 #[test]

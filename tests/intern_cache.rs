@@ -228,7 +228,7 @@ fn cached_iterator_front_end_hits_and_misses() {
         .collect();
     assert_eq!(warm, cold);
     assert_eq!(cache.stats().hits, 1);
-    // Dropping a replaying iterator early releases its checkout cleanly.
+    // Dropping a replaying iterator early leaves the entry intact.
     let mut iter = Enumeration::new(SteinerTree::from_graph(g.clone(), &w))
         .cached(&cache)
         .into_iter()
@@ -238,6 +238,27 @@ fn cached_iterator_front_end_hits_and_misses() {
     // The push front-end still replays the full stream afterwards.
     let again = ordered(Enumeration::new(SteinerTree::new(&g, &w)).cached(&cache));
     assert_eq!(again, cold);
+}
+
+#[test]
+fn iterator_hit_delivers_the_whole_stream_after_the_cache_is_cleared() {
+    // A hit is copied out of the cache when `into_iter` returns, so
+    // clearing the cache before the first `next()` cannot cut the stream.
+    let g = generators::theta_chain(4, 3); // 81 solutions
+    let w = [VertexId(0), VertexId(4)];
+    let cache = ResultCache::new();
+    let cold = ordered(Enumeration::new(SteinerTree::new(&g, &w)).cached(&cache));
+    let (run, handle) = Enumeration::new(SteinerTree::from_graph(g, &w))
+        .cached(&cache)
+        .with_stats();
+    let mut iter = run.into_iter().expect("valid instance");
+    cache.clear();
+    assert_eq!(cache.stats().entries, 0);
+    let warm: Vec<Vec<_>> = iter.by_ref().collect();
+    assert_eq!(warm, cold, "the full stream, in order");
+    assert_eq!(iter.error(), None);
+    let stats = handle.get();
+    assert_eq!((stats.cache_hits, stats.solutions), (1, cold.len() as u64));
 }
 
 #[test]
